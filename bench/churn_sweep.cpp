@@ -176,12 +176,17 @@ int run_smoke(std::int64_t rounds, const std::string& attribution_out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  splitmed::Flags flags(argc, argv);
-  const bool smoke = flags.get_bool("smoke", false);
-  const std::string json_out = flags.get_string("json-out", "");
-  const std::string attribution_out = flags.get_string("attribution-out", "");
-  std::int64_t rounds = flags.get_int("rounds", 24);
-  flags.validate_no_unknown();
+  bool smoke = false;
+  std::string json_out;
+  std::string attribution_out;
+  std::int64_t rounds = 24;
+  const auto read = [&](splitmed::Flags& flags) {
+    smoke = flags.get_bool("smoke", smoke);
+    json_out = flags.get_string("json-out", json_out);
+    attribution_out = flags.get_string("attribution-out", attribution_out);
+    rounds = flags.get_int("rounds", rounds);
+  };
+  if (!splitmed::parse_cli(argc, argv, read)) return 2;
 
   if (smoke) {
     return run_smoke(/*rounds=*/8, attribution_out);

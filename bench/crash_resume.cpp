@@ -222,13 +222,14 @@ int harness_main(const HarnessConfig& hc) {
 }  // namespace splitmed::bench
 
 int main(int argc, char** argv) {
-  splitmed::Flags flags(argc, argv);
   splitmed::bench::HarnessConfig hc;
-  hc.rounds = flags.get_int("rounds", hc.rounds);
-  hc.every = flags.get_int("every", hc.every);
-  hc.dir = flags.get_string("dir", hc.dir);
-  hc.keep = flags.get_bool("keep", hc.keep);
-  flags.validate_no_unknown();
+  const auto read = [&](splitmed::Flags& flags) {
+    hc.rounds = flags.get_int("rounds", hc.rounds);
+    hc.every = flags.get_int("every", hc.every);
+    hc.dir = flags.get_string("dir", hc.dir);
+    hc.keep = flags.get_bool("keep", hc.keep);
+  };
+  if (!splitmed::parse_cli(argc, argv, read)) return 2;
   if (hc.every <= 0 || hc.rounds < hc.every) {
     std::cerr << "need --every > 0 and --rounds >= --every\n";
     return 2;

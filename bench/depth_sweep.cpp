@@ -18,15 +18,15 @@
 #include "src/models/model_stats.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/conv2d.hpp"
-#include "src/nn/plan.hpp"
 #include "src/nn/sequential.hpp"
 #include "src/tensor/workspace.hpp"
 
 namespace {
 
-// One measured point: a depth-N conv→relu chain run through infer() with
-// the planner on or off. Returns {step-peak arena bytes, peak live
-// aligned-heap bytes, wall microseconds} for one steady-state step.
+// One measured point: a depth-N conv→relu chain run through the plan
+// executor (Sequential::infer) or through a per-layer loop calling each
+// layer's own infer. Returns {step-peak arena bytes, peak live aligned-heap
+// bytes, wall microseconds} for one steady-state step.
 struct DepthPoint {
   std::size_t arena_peak = 0;
   std::size_t heap_peak = 0;
@@ -35,7 +35,6 @@ struct DepthPoint {
 
 DepthPoint measure_depth(int depth, bool planner) {
   using namespace splitmed;
-  nn::set_planner_enabled(planner);
   Rng rng(11);
   nn::Sequential seq;
   for (int i = 0; i < depth; ++i) {
@@ -43,13 +42,18 @@ DepthPoint measure_depth(int depth, bool planner) {
     seq.emplace<nn::ReLU>();
   }
   const Tensor x = Tensor::normal(Shape{4, 8, 16, 16}, rng);
-  (void)seq.infer(x);  // warm-up: arena grows to its high-water mark
+  const auto step = [&] {
+    if (planner) return seq.infer(x);
+    Tensor y = x;
+    for (std::size_t i = 0; i < seq.size(); ++i) y = seq.layer(i).infer(y);
+    return y;
+  };
+  (void)step();  // warm-up: arena grows to its high-water mark
   ws::reset_step_peak();
   reset_aligned_peak_bytes();
   const auto t0 = std::chrono::steady_clock::now();
-  Tensor y = seq.infer(x);
+  Tensor y = step();
   const auto t1 = std::chrono::steady_clock::now();
-  nn::set_planner_enabled(true);
   return {ws::global_step_peak_bytes(), aligned_peak_bytes(),
           std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
               .count()};
@@ -95,20 +99,21 @@ int main() {
   std::cout << "=== Peak workspace bytes vs depth (measured, conv3x3/8ch "
                "chain, batch 4, 1 thread) ===\n\n";
   set_global_threads(1);
-  Table mem({"depth", "planner", "arena peak/step", "heap peak", "step us"});
+  Table mem({"depth", "executor", "arena peak/step", "heap peak", "step us"});
   for (const int depth : {2, 4, 8, 16}) {
     for (const bool planner : {true, false}) {
       const DepthPoint p = measure_depth(depth, planner);
-      mem.add_row({std::to_string(depth), planner ? "on" : "off",
+      mem.add_row({std::to_string(depth), planner ? "plan" : "per-layer",
                    format_bytes(p.arena_peak), format_bytes(p.heap_peak),
                    std::to_string(p.micros)});
     }
   }
   mem.print(std::cout);
-  std::cout << "\nreading: with the planner on, fused groups chain through "
-               "2 lifetime-colored arena slabs, so the per-step arena peak "
-               "is FLAT from depth 4 on; with it off, every intermediate is "
-               "a heap tensor and the only arena use is per-layer scratch.\n"
+  std::cout << "\nreading: under the plan executor, fused groups chain "
+               "through 2 lifetime-colored arena slabs, so the per-step "
+               "arena peak is FLAT from depth 4 on; in the per-layer loop, "
+               "every intermediate is a heap tensor and the only arena use "
+               "is per-layer scratch.\n"
             << std::endl;
   return 0;
 }

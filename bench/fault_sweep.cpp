@@ -34,14 +34,19 @@ std::string rate_suffixed(const std::string& path, double rate) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  splitmed::Flags flags(argc, argv);
-  const std::string trace_out = flags.get_string("trace-out", "");
-  const std::string metrics_out = flags.get_string("metrics-out", "");
-  const std::string attribution_out = flags.get_string("attribution-out", "");
-  const std::int64_t trace_detail = flags.get_int("trace-detail", 1);
-  const splitmed::WireCodec codec =
-      splitmed::parse_wire_codec(flags.get_string("codec", "f32"));
-  flags.validate_no_unknown();
+  std::string trace_out;
+  std::string metrics_out;
+  std::string attribution_out;
+  std::int64_t trace_detail = 1;
+  splitmed::WireCodec codec = splitmed::WireCodec::kF32;
+  const auto read = [&](splitmed::Flags& flags) {
+    trace_out = flags.get_string("trace-out", trace_out);
+    metrics_out = flags.get_string("metrics-out", metrics_out);
+    attribution_out = flags.get_string("attribution-out", attribution_out);
+    trace_detail = flags.get_int("trace-detail", trace_detail);
+    codec = splitmed::parse_wire_codec(flags.get_string("codec", "f32"));
+  };
+  if (!splitmed::parse_cli(argc, argv, read)) return 2;
 
   std::cout << "=== WAN fault injection sweep (mlp, " << kPlatforms
             << " platforms, " << kRounds << " rounds, heterogeneous WAN, "

@@ -16,7 +16,6 @@
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/linear.hpp"
-#include "src/nn/plan.hpp"
 #include "src/nn/sequential.hpp"
 #include "src/serial/tensor_codec.hpp"
 #include "src/tensor/gemm.hpp"
@@ -44,7 +43,10 @@ const int kBuildTypeContext = [] {
 
 // Fixed thread pins per benchmark family. Kernel benches run serial so
 // GFLOP/s is per-core kernel speed; layer benches use a fixed small pool so
-// fork-join costs show up without depending on hardware_concurrency.
+// fork-join costs show up without depending on hardware_concurrency. Layer
+// benches time wall clock (UseRealTime): the main thread's CPU time misses
+// the work the pool's workers do, so items_per_second would disagree with
+// ns_per_op.
 constexpr int kKernelThreads = 1;
 constexpr int kLayerThreads = 4;
 
@@ -169,7 +171,7 @@ void BM_ConvForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_ConvForward)->Arg(1)->Arg(16);
+BENCHMARK(BM_ConvForward)->Arg(1)->Arg(16)->UseRealTime();
 
 void BM_ConvBackward(benchmark::State& state) {
   set_global_threads(kLayerThreads);
@@ -186,7 +188,7 @@ void BM_ConvBackward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_ConvBackward)->Arg(1)->Arg(4)->Arg(16)->Arg(32);
+BENCHMARK(BM_ConvBackward)->Arg(1)->Arg(4)->Arg(16)->Arg(32)->UseRealTime();
 
 void BM_LinearForward(benchmark::State& state) {
   set_global_threads(kLayerThreads);
@@ -198,29 +200,37 @@ void BM_LinearForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data().data());
   }
 }
-BENCHMARK(BM_LinearForward);
+BENCHMARK(BM_LinearForward)->UseRealTime();
 
 // --- Execution-planner fusion families -------------------------------------
 // Each pair runs the SAME bytes-identical computation (plan_test asserts
-// bitwise equality) through the fused epilogue path vs the legacy per-layer
-// path, so Fused/Unfused time ratios isolate what fusion buys: no
-// intermediate tensor materialization, no separate bias/BN/ReLU passes over
+// bitwise equality) through the plan executor (Sequential::infer: fused
+// epilogues, slab-chained intermediates) vs a per-layer loop calling each
+// layer's own infer, so Fused/Unfused time ratios isolate what fusion buys:
+// no intermediate tensor materialization, no separate BN/ReLU passes over
 // the output. `peak_ws_bytes` reports the step-peak arena watermark the
 // planner's slab chaining is measured by.
 
+Tensor per_layer_infer(nn::Sequential& seq, const Tensor& x) {
+  Tensor y = x;
+  for (std::size_t i = 0; i < seq.size(); ++i) y = seq.layer(i).infer(y);
+  return y;
+}
+
 void run_infer_bench(benchmark::State& state, nn::Sequential& seq,
                      const Tensor& x, bool fused) {
-  nn::set_planner_enabled(fused);
-  (void)seq.infer(x);  // warm the arena to its high-water mark
+  const auto step = [&] {
+    return fused ? seq.infer(x) : per_layer_infer(seq, x);
+  };
+  (void)step();  // warm the arena to its high-water mark
   ws::reset_step_peak();
   for (auto _ : state) {
-    Tensor y = seq.infer(x);
+    Tensor y = step();
     benchmark::DoNotOptimize(y.data().data());
   }
   state.counters["peak_ws_bytes"] =
       static_cast<double>(ws::global_step_peak_bytes());
   state.SetItemsProcessed(state.iterations() * x.shape().dim(0));
-  nn::set_planner_enabled(true);
 }
 
 void conv_bn_relu_bench(benchmark::State& state, bool fused) {
@@ -240,8 +250,8 @@ void BM_ConvBnRelu_Fused(benchmark::State& state) {
 void BM_ConvBnRelu_Unfused(benchmark::State& state) {
   conv_bn_relu_bench(state, false);
 }
-BENCHMARK(BM_ConvBnRelu_Fused);
-BENCHMARK(BM_ConvBnRelu_Unfused);
+BENCHMARK(BM_ConvBnRelu_Fused)->UseRealTime();
+BENCHMARK(BM_ConvBnRelu_Unfused)->UseRealTime();
 
 void linear_relu_bench(benchmark::State& state, bool fused) {
   set_global_threads(kLayerThreads);
@@ -258,8 +268,8 @@ void BM_LinearRelu_Fused(benchmark::State& state) {
 void BM_LinearRelu_Unfused(benchmark::State& state) {
   linear_relu_bench(state, false);
 }
-BENCHMARK(BM_LinearRelu_Fused);
-BENCHMARK(BM_LinearRelu_Unfused);
+BENCHMARK(BM_LinearRelu_Fused)->UseRealTime();
+BENCHMARK(BM_LinearRelu_Unfused)->UseRealTime();
 
 // Slab-chained deep inference: peak_ws_bytes must be flat in the depth arg
 // with the planner on (2-slab ping-pong) — the pass-2 memory claim in
@@ -283,8 +293,8 @@ void BM_ConvChainInfer_Fused(benchmark::State& state) {
 void BM_ConvChainInfer_Unfused(benchmark::State& state) {
   conv_chain_bench(state, false);
 }
-BENCHMARK(BM_ConvChainInfer_Fused)->Arg(4)->Arg(16);
-BENCHMARK(BM_ConvChainInfer_Unfused)->Arg(4)->Arg(16);
+BENCHMARK(BM_ConvChainInfer_Fused)->Arg(4)->Arg(16)->UseRealTime();
+BENCHMARK(BM_ConvChainInfer_Unfused)->Arg(4)->Arg(16)->UseRealTime();
 
 void BM_TensorCodecRoundTrip(benchmark::State& state) {
   set_global_threads(kKernelThreads);

@@ -22,6 +22,7 @@
 //   --attribution-out F  per-round critical-path attribution JSONL, one file
 //                  per sweep row (suffixed _k<K>_<schedule>); render with
 //                  scripts/trace_report.py
+//   --help         print the known flags and exit 2 (as any misuse does)
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "src/common/flags.hpp"
 #include "src/common/format.hpp"
 #include "src/common/stopwatch.hpp"
 #include "src/common/table.hpp"
@@ -148,27 +150,15 @@ int main(int argc, char** argv) {
   std::string json_out;
   std::string attribution_out;
   WireCodec codec = WireCodec::kF32;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--max-k" && i + 1 < argc) {
-      max_k = std::stoll(argv[++i]);
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      rounds = std::stoll(argv[++i]);
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else if (arg == "--attribution-out" && i + 1 < argc) {
-      attribution_out = argv[++i];
-    } else if (arg == "--codec" && i + 1 < argc) {
-      codec = parse_wire_codec(argv[++i]);
-    } else {
-      std::cerr << "usage: platform_scaling [--max-k N] [--rounds N] "
-                   "[--smoke] [--json-out FILE] [--attribution-out FILE] "
-                   "[--codec f32|f16|i8]\n";
-      return 2;
-    }
-  }
+  const auto read = [&](Flags& flags) {
+    max_k = flags.get_int("max-k", max_k);
+    rounds = flags.get_int("rounds", rounds);
+    smoke = flags.get_bool("smoke", smoke);
+    json_out = flags.get_string("json-out", json_out);
+    attribution_out = flags.get_string("attribution-out", attribution_out);
+    codec = parse_wire_codec(flags.get_string("codec", "f32"));
+  };
+  if (!parse_cli(argc, argv, read)) return 2;
 
   std::vector<std::int64_t> ks;
   if (smoke) {

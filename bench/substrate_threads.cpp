@@ -81,15 +81,21 @@ bool bitwise_equal(const StepResult& a, const StepResult& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  const std::string model = flags.get_string("model", "vgg-mini");
-  const std::int64_t classes = flags.get_int("classes", 10);
-  const std::int64_t batch = flags.get_int("batch", 32);
-  const std::int64_t steps = flags.get_int("steps", 8);
-  const std::int64_t warmup = flags.get_int("warmup", 2);
-  const std::int64_t max_threads =
-      flags.get_int("max_threads", std::max(4, ThreadPool::default_threads()));
-  flags.validate_no_unknown();
+  std::string model = "vgg-mini";
+  std::int64_t classes = 10;
+  std::int64_t batch = 32;
+  std::int64_t steps = 8;
+  std::int64_t warmup = 2;
+  std::int64_t max_threads = std::max(4, ThreadPool::default_threads());
+  const auto read = [&](Flags& flags) {
+    model = flags.get_string("model", model);
+    classes = flags.get_int("classes", classes);
+    batch = flags.get_int("batch", batch);
+    steps = flags.get_int("steps", steps);
+    warmup = flags.get_int("warmup", warmup);
+    max_threads = flags.get_int("max_threads", max_threads);
+  };
+  if (!parse_cli(argc, argv, read)) return 2;
 
   std::cout << "=== substrate thread sweep (" << model << ", batch " << batch
             << ", " << steps << " timed steps) ===\n"

@@ -60,7 +60,9 @@ def distill(raw: dict) -> dict:
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
-        name = b["name"].split("/repeats:")[0]
+        # Layer benches time wall clock; drop UseRealTime's name suffix so
+        # their entries keep the names earlier captures recorded.
+        name = b["name"].split("/repeats:")[0].replace("/real_time", "")
         prev = out.get(name)
         if prev is not None and prev["ns_per_op"] <= float(b["real_time"]):
             continue

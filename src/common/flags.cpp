@@ -1,6 +1,7 @@
 #include "src/common/flags.hpp"
 
 #include <cstdlib>
+#include <iostream>
 
 #include "src/common/error.hpp"
 
@@ -89,6 +90,28 @@ std::string Flags::usage() const {
     out += (out.empty() ? "--" : " --") + name;
   }
   return out;
+}
+
+bool parse_cli(int argc, const char* const* argv,
+               FunctionRef<void(Flags&)> read) {
+  try {
+    Flags flags(argc, argv);
+    read(flags);
+    if (!flags.get_bool("help", false)) {
+      flags.validate_no_unknown();
+      return true;
+    }
+  } catch (const InvalidArgument& e) {
+    std::cerr << "error: " << e.what() << '\n';
+  }
+  // usage() lists what `read` queries; a clean parse of no flags
+  // collects all of it even when argv failed part-way.
+  Flags known(0, argv);
+  read(known);
+  (void)known.get_bool("help", false);
+  std::cerr << "usage: " << (argc > 0 ? argv[0] : "program") << ' '
+            << known.usage() << '\n';
+  return false;
 }
 
 }  // namespace splitmed

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/function_ref.hpp"
+
 namespace splitmed {
 
 class Flags {
@@ -39,5 +41,13 @@ class Flags {
   std::map<std::string, bool> consumed_;
   std::vector<std::string> queried_;  // for usage()
 };
+
+/// A program's command line: `read` queries every flag the program knows
+/// (storing the values wherever it likes). Returns true when argv parsed
+/// cleanly. On --help, an unknown flag or a malformed value it prints the
+/// error, if any, and the known flags to stderr and returns false; mains
+/// then exit 2 rather than let InvalidArgument reach std::terminate.
+[[nodiscard]] bool parse_cli(int argc, const char* const* argv,
+                             FunctionRef<void(Flags&)> read);
 
 }  // namespace splitmed

@@ -47,13 +47,14 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-int ThreadPool::drain_job(FunctionRef<void(int)> fn, int num_chunks) {
+int ThreadPool::drain_job(FunctionRef<void(int)> fn, int num_chunks,
+                          std::uint64_t generation) {
   int done = 0;
   for (;;) {
     int chunk;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (next_chunk_ >= num_chunks) return done;
+      if (generation_ != generation || next_chunk_ >= num_chunks) return done;
       chunk = next_chunk_++;
     }
     try {
@@ -69,19 +70,19 @@ int ThreadPool::drain_job(FunctionRef<void(int)> fn, int num_chunks) {
 void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    const FunctionRef<void(int)>* fn = nullptr;
+    std::optional<FunctionRef<void(int)>> fn;
     int num_chunks = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
-        return stop_ || (job_ != nullptr && generation_ != seen_generation);
+        return stop_ || (job_.has_value() && generation_ != seen_generation);
       });
       if (stop_) return;
       seen_generation = generation_;
       fn = job_;
       num_chunks = job_chunks_;
     }
-    const int done = drain_job(*fn, num_chunks);
+    const int done = drain_job(*fn, num_chunks, seen_generation);
     if (done > 0) {
       std::lock_guard<std::mutex> lock(mu_);
       chunks_done_ += done;
@@ -97,24 +98,25 @@ void ThreadPool::run(int num_chunks, FunctionRef<void(int)> chunk_fn) {
     for (int c = 0; c < num_chunks; ++c) chunk_fn(c);
     return;
   }
+  std::uint64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SPLITMED_ASSERT(job_ == nullptr, "ThreadPool::run is not reentrant");
-    job_ = &chunk_fn;
+    SPLITMED_ASSERT(!job_.has_value(), "ThreadPool::run is not reentrant");
+    job_ = chunk_fn;
     job_chunks_ = num_chunks;
     next_chunk_ = 0;
     chunks_done_ = 0;
     first_error_ = nullptr;
-    ++generation_;
+    generation = ++generation_;
   }
   work_cv_.notify_all();
-  const int done = drain_job(chunk_fn, num_chunks);
+  const int done = drain_job(chunk_fn, num_chunks, generation);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mu_);
     chunks_done_ += done;
     done_cv_.wait(lock, [&] { return chunks_done_ == job_chunks_; });
-    job_ = nullptr;
+    job_.reset();
     error = first_error_;
     first_error_ = nullptr;
   }

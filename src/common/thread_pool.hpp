@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -53,17 +54,23 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  /// Claims and executes chunks until the current job is exhausted; returns
-  /// the number of chunks this thread completed.
-  int drain_job(FunctionRef<void(int)> fn, int num_chunks);
+  /// Claims and executes chunks of job `generation` until it is exhausted
+  /// or superseded; returns the number of chunks this thread completed. A
+  /// chunk is claimed only while generation_ still equals `generation`, so
+  /// a worker that wakes late never runs a stale callable against the
+  /// next job's chunk counter.
+  int drain_job(FunctionRef<void(int)> fn, int num_chunks,
+                std::uint64_t generation);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;   // signals workers: new job / shutdown
   std::condition_variable done_cv_;   // signals caller: all chunks finished
-  const FunctionRef<void(int)>* job_ = nullptr;  // guarded by mu_; points at
-                                                 // run()'s parameter, which
-                                                 // outlives the job
+  // The current job, guarded by mu_. Workers copy it by value under the
+  // lock; the callable it references lives until every chunk of the job
+  // has finished, and drain_job's generation check keeps a late worker
+  // from invoking it after that.
+  std::optional<FunctionRef<void(int)>> job_;
   int job_chunks_ = 0;                             // guarded by mu_
   int next_chunk_ = 0;                             // guarded by mu_
   int chunks_done_ = 0;                            // guarded by mu_

@@ -58,9 +58,9 @@ double evaluate_composite(nn::Layer& front, nn::Layer* back,
     std::iota(idx.begin(), idx.end(), begin);
     Tensor x = dataset.batch_images(idx);
     const auto labels = dataset.batch_labels(idx);
-    // infer(): bitwise identical to forward(x, false), but lets the
-    // execution planner fuse eval BN and chain through workspace slabs
-    // instead of materializing per-layer Tensors.
+    // infer(): bitwise identical to forward(x, false), but the plan
+    // executor also fuses eval BN into the GEMM epilogue and chains the
+    // GEMM groups through workspace slabs instead of per-layer Tensors.
     Tensor logits = front.infer(x);
     if (back != nullptr) logits = back->infer(logits);
     correct += count_correct(logits, labels);

@@ -40,67 +40,21 @@ ConvGeometry Conv2d::geometry(std::int64_t in_h, std::int64_t in_w) const {
   return g;
 }
 
+gemmk::Epilogue Conv2d::bias_epilogue() const {
+  gemmk::Epilogue ep;
+  ep.bias = bias_.value.data().data();
+  ep.per_row = true;  // conv GEMM rows are output channels
+  return ep;
+}
+
 Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
+  return forward_ep(input, bias_epilogue());
+}
+
+Tensor Conv2d::forward_ep(const Tensor& input, const gemmk::Epilogue& ep) {
   SPLITMED_CHECK(input.shape().rank() == 4 && input.shape().dim(1) == in_c_,
                  name() << ": bad input " << input.shape().str());
   cached_input_ = input;
-  const std::int64_t batch = input.shape().dim(0);
-  const ConvGeometry g = geometry(input.shape().dim(2), input.shape().dim(3));
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  Tensor out(Shape{batch, out_c_, oh, ow});
-
-  const std::int64_t image_elems = in_c_ * g.in_h * g.in_w;
-  const std::int64_t out_elems = out_c_ * oh * ow;
-  auto id = input.data();
-  auto od = out.data();
-  auto bd = bias_.value.data();
-  // Samples write disjoint output planes, so the batch loop partitions
-  // cleanly across threads; each chunk checks its col scratch out of its
-  // own thread's workspace arena — zero heap allocations once the arenas
-  // are warm. (Nested kernel calls run serially inside a chunk; with a
-  // single-sample batch the chunk runs inline and the kernels parallelize
-  // instead.)
-  parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
-    ws::WorkspaceScope scratch;
-    std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
-    for (std::int64_t b = b0; b < b1; ++b) {
-      im2col(g, id.subspan(static_cast<std::size_t>(b * image_elems),
-                           static_cast<std::size_t>(image_elems)),
-             col);
-      // out[b] = W[out_c, crk] · col[crk, oh*ow]
-      gemm_nn(out_c_, g.col_cols(), g.col_rows(), weight_.value.data(), col,
-              od.subspan(static_cast<std::size_t>(b * out_elems),
-                         static_cast<std::size_t>(out_elems)));
-      float* ob = od.data() + b * out_elems;
-      for (std::int64_t c = 0; c < out_c_; ++c) {
-        float* plane = ob + c * oh * ow;
-        const float bias = bd[c];
-        for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias;
-      }
-    }
-  });
-  return out;
-}
-
-Tensor Conv2d::infer(const Tensor& input) {
-  // Inference-only: same GEMM fold, bias applied at write-back (one add per
-  // element, the same single add forward() does read-modify-write), and no
-  // input cache. Bitwise identical to forward(input, false).
-  SPLITMED_CHECK(input.shape().rank() == 4 && input.shape().dim(1) == in_c_,
-                 name() << ": bad input " << input.shape().str());
-  gemmk::Epilogue ep;
-  ep.bias = bias_.value.data().data();
-  Tensor out(output_shape(input.shape()));
-  run_fused(input.data(), input.shape().dim(0), input.shape().dim(2),
-            input.shape().dim(3), out.data(), ep);
-  return out;
-}
-
-Tensor Conv2d::forward_fused(const Tensor& input, const gemmk::Epilogue& ep,
-                             bool cache) {
-  SPLITMED_CHECK(input.shape().rank() == 4 && input.shape().dim(1) == in_c_,
-                 name() << ": bad input " << input.shape().str());
-  if (cache) cached_input_ = input;
   Tensor out(output_shape(input.shape()));
   run_fused(input.data(), input.shape().dim(0), input.shape().dim(2),
             input.shape().dim(3), out.data(), ep);
@@ -119,9 +73,13 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
       input.size() >= static_cast<std::size_t>(batch * image_elems) &&
           out.size() >= static_cast<std::size_t>(batch * out_elems),
       name() << ": run_fused span too small");
-  // Same batch partitioning and per-sample GEMM as forward(); the epilogue
-  // (bias / bn / relu, per output channel = per C row) replaces the
-  // read-modify-write bias loop with the identical adds at write-back.
+  // Samples write disjoint output planes, so the batch loop partitions
+  // cleanly across threads; each chunk checks its col scratch out of its
+  // own thread's workspace arena — zero heap allocations once the arenas
+  // are warm. (Nested kernel calls run serially inside a chunk; with a
+  // single-sample batch the chunk runs inline and the kernels parallelize
+  // instead.) The epilogue (bias / bn / relu, per output channel = per C
+  // row) is applied to each element at write-back, after its k-fold.
   parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
     ws::WorkspaceScope scratch;
     std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
@@ -129,6 +87,7 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
       im2col(g, input.subspan(static_cast<std::size_t>(b * image_elems),
                               static_cast<std::size_t>(image_elems)),
              col);
+      // out[b] = ep(W[out_c, crk] · col[crk, oh*ow])
       gemm_nn_ep(out_c_, g.col_cols(), g.col_rows(), weight_.value.data(),
                  col,
                  out.subspan(static_cast<std::size_t>(b * out_elems),
@@ -139,18 +98,13 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  return backward_from(grad_output.data(), grad_output.shape());
-}
-
-Tensor Conv2d::backward_from(std::span<const float> grad_output,
-                             const Shape& grad_shape) {
   SPLITMED_CHECK(cached_input_.shape().rank() == 4,
                  "Conv2d backward before forward");
   const std::int64_t batch = cached_input_.shape().dim(0);
   const ConvGeometry g =
       geometry(cached_input_.shape().dim(2), cached_input_.shape().dim(3));
   const std::int64_t oh = g.out_h(), ow = g.out_w();
-  check_same_shape(grad_shape, Shape{batch, out_c_, oh, ow},
+  check_same_shape(grad_output.shape(), Shape{batch, out_c_, oh, ow},
                    "Conv2d backward");
 
   Tensor grad_input(cached_input_.shape());
@@ -159,7 +113,7 @@ Tensor Conv2d::backward_from(std::span<const float> grad_output,
   const std::int64_t out_elems = out_c_ * oh * ow;
   const std::int64_t wn = weight_.value.numel();
   auto id = cached_input_.data();
-  auto gd = grad_output;
+  auto gd = grad_output.data();
   auto gi = grad_input.data();
   auto wg = weight_.grad.data();
   auto bg = bias_.grad.data();

@@ -16,34 +16,30 @@ class Conv2d final : public Layer {
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
          std::int64_t kernel, std::int64_t stride, std::int64_t pad, Rng& rng);
 
+  /// Caches the input and runs the GEMM with a bias-only epilogue — the
+  /// same kernel every forward and infer of this layer goes through.
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] std::int64_t in_channels() const { return in_c_; }
   [[nodiscard]] std::int64_t out_channels() const { return out_c_; }
-  [[nodiscard]] const Tensor& bias_value() const { return bias_.value; }
+  /// The bias-only write-back epilogue of this layer's GEMM: bias per C
+  /// row (= output channel). Fused groups add their tail to it.
+  [[nodiscard]] gemmk::Epilogue bias_epilogue() const;
 
-  /// Planner entry points (src/nn/plan.cpp). The convolution with the
-  /// elementwise tail `ep` (which must already include this layer's bias —
-  /// per_row=true, indexed by output channel) fused into the GEMM
-  /// write-back. Caches the input for backward when `cache` is set; the
-  /// fused OUTPUT is the caller's to cache (dReLU masks on it).
-  Tensor forward_fused(const Tensor& input, const gemmk::Epilogue& ep,
-                       bool cache);
+  /// Plan executor entry points (src/nn/plan.hpp). forward() with the
+  /// elementwise tail `ep` (built on bias_epilogue()) fused into the GEMM
+  /// write-back. Caches the input for backward; the fused OUTPUT is the
+  /// caller's to cache (dReLU masks on it).
+  Tensor forward_ep(const Tensor& input, const gemmk::Epilogue& ep);
   /// Raw-span variant for slab-chained inference: input/out are NCHW with
   /// the given geometry; out must hold batch*out_channels*out_h*out_w.
   void run_fused(std::span<const float> input, std::int64_t batch,
                  std::int64_t in_h, std::int64_t in_w, std::span<float> out,
                  const gemmk::Epilogue& ep) const;
-  /// backward() against a raw grad span (the planner's fused groups mask
-  /// dReLU into arena scratch and feed it here — bitwise identical to
-  /// backward(Tensor) on the same bytes).
-  Tensor backward_from(std::span<const float> grad_output,
-                       const Shape& grad_shape);
 
  private:
   [[nodiscard]] ConvGeometry geometry(std::int64_t in_h,

@@ -39,8 +39,9 @@ class Layer {
 
   /// Inference-only forward: bitwise identical outputs to
   /// forward(input, /*training=*/false), but with NO obligation to leave a
-  /// usable backward cache behind (layers override to skip caching, and the
-  /// execution planner overrides to fuse whole chains through arena slabs).
+  /// usable backward cache behind (layers override to skip caching, and
+  /// Sequential overrides to run its plan's fused groups through arena
+  /// slabs; Conv2d and Linear run inside those groups).
   /// Callers that need backward after an eval-mode pass — the privacy
   /// reconstruction attack — must keep using forward(x, false).
   virtual Tensor infer(const Tensor& input) {

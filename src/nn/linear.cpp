@@ -5,7 +5,6 @@
 #include "src/common/error.hpp"
 #include "src/nn/init.hpp"
 #include "src/tensor/gemm.hpp"
-#include "src/tensor/ops.hpp"
 #include "src/tensor/workspace.hpp"
 
 namespace splitmed::nn {
@@ -20,43 +19,22 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
                  "Linear: feature counts must be positive");
 }
 
+gemmk::Epilogue Linear::bias_epilogue() const {
+  gemmk::Epilogue ep;
+  ep.bias = bias_.value.data().data();
+  ep.per_row = false;  // bias indexed by output feature = C column
+  return ep;
+}
+
 Tensor Linear::forward(const Tensor& input, bool /*training*/) {
+  return forward_ep(input, bias_epilogue());
+}
+
+Tensor Linear::forward_ep(const Tensor& input, const gemmk::Epilogue& ep) {
   SPLITMED_CHECK(input.shape().rank() == 2 && input.shape().dim(1) == in_,
                  "Linear(" << in_ << "->" << out_ << "): bad input "
                            << input.shape().str());
   cached_input_ = input;
-  Tensor out = ops::matmul_nt(input, weight_.value);  // [b,in]·[out,in]ᵀ
-  auto od = out.data();
-  auto bd = bias_.value.data();
-  const std::int64_t batch = input.shape().dim(0);
-  for (std::int64_t r = 0; r < batch; ++r) {
-    float* row = od.data() + r * out_;
-    for (std::int64_t c = 0; c < out_; ++c) row[c] += bd[c];
-  }
-  return out;
-}
-
-Tensor Linear::infer(const Tensor& input) {
-  // Inference-only: bias fused at GEMM write-back (same single add per
-  // element as forward's read-modify-write loop), no input cache. Bitwise
-  // identical to forward(input, false).
-  SPLITMED_CHECK(input.shape().rank() == 2 && input.shape().dim(1) == in_,
-                 "Linear(" << in_ << "->" << out_ << "): bad input "
-                           << input.shape().str());
-  gemmk::Epilogue ep;
-  ep.bias = bias_.value.data().data();
-  ep.per_row = false;  // bias indexed by output feature = C column
-  Tensor out(Shape{input.shape().dim(0), out_});
-  run_fused(input.data(), input.shape().dim(0), out.data(), ep);
-  return out;
-}
-
-Tensor Linear::forward_fused(const Tensor& input, const gemmk::Epilogue& ep,
-                             bool cache) {
-  SPLITMED_CHECK(input.shape().rank() == 2 && input.shape().dim(1) == in_,
-                 "Linear(" << in_ << "->" << out_ << "): bad input "
-                           << input.shape().str());
-  if (cache) cached_input_ = input;
   Tensor out(Shape{input.shape().dim(0), out_});
   run_fused(input.data(), input.shape().dim(0), out.data(), ep);
   return out;
@@ -68,8 +46,8 @@ void Linear::run_fused(std::span<const float> input, std::int64_t batch,
   SPLITMED_CHECK(input.size() >= static_cast<std::size_t>(batch * in_) &&
                      out.size() >= static_cast<std::size_t>(batch * out_),
                  name() << ": run_fused span too small");
-  // Same x·Wᵀ GEMM ops::matmul_nt runs (gemm_nt with identical dims), with
-  // the elementwise tail applied per C column at write-back.
+  // out = ep(x[b,in]·W[out,in]ᵀ): the elementwise tail is applied per C
+  // column at write-back, after each element's k-fold.
   gemm_nt_ep(batch, out_, in_, input.first(static_cast<std::size_t>(
                                   batch * in_)),
              weight_.value.data(),
@@ -77,11 +55,7 @@ void Linear::run_fused(std::span<const float> input, std::int64_t batch,
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
-  return backward_from(grad_output.data(), grad_output.shape());
-}
-
-Tensor Linear::backward_from(std::span<const float> grad_output,
-                             const Shape& grad_shape) {
+  const Shape& grad_shape = grad_output.shape();
   SPLITMED_CHECK(grad_shape.rank() == 2 && grad_shape.dim(1) == out_,
                  "Linear backward: bad grad " << grad_shape.str());
   SPLITMED_CHECK(cached_input_.shape().rank() == 2,
@@ -94,19 +68,20 @@ Tensor Linear::backward_from(std::span<const float> grad_output,
   {
     ws::WorkspaceScope scratch;
     std::span<float> dw = scratch.floats(out_ * in_);
-    gemm_tn(out_, in_, batch, grad_output, cached_input_.data(), dw);
+    gemm_tn(out_, in_, batch, grad_output.data(), cached_input_.data(), dw);
     auto wg = weight_.grad.data();
     for (std::int64_t i = 0; i < out_ * in_; ++i) wg[i] += dw[i];
   }
   auto bg = bias_.grad.data();
   for (std::int64_t r = 0; r < batch; ++r) {
-    const float* row = grad_output.data() + r * out_;
+    const float* row = grad_output.data().data() + r * out_;
     for (std::int64_t c = 0; c < out_; ++c) bg[c] += row[c];
   }
   // dx = g·W — the same gemm_nn call ops::matmul(grad_output, weight_.value)
   // lowers to (ops.cpp), bitwise identical.
   Tensor dx(Shape{batch, in_});
-  gemm_nn(batch, in_, out_, grad_output, weight_.value.data(), dx.data());
+  gemm_nn(batch, in_, out_, grad_output.data(), weight_.value.data(),
+          dx.data());
   return dx;
 }
 

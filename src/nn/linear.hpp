@@ -14,9 +14,10 @@ class Linear final : public Layer {
   /// He-normal weight init (library default: layers feed ReLUs), zero bias.
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng);
 
+  /// Caches the input and runs x·Wᵀ with a bias-only epilogue — the same
+  /// kernel every forward and infer of this layer goes through.
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::string name() const override;
@@ -25,17 +26,15 @@ class Linear final : public Layer {
   [[nodiscard]] std::int64_t out_features() const { return out_; }
   Parameter& weight() { return weight_; }
   Parameter& bias() { return bias_; }
-  [[nodiscard]] const Tensor& bias_value() const { return bias_.value; }
+  /// The bias-only write-back epilogue of this layer's GEMM: x·Wᵀ puts
+  /// output features in C COLUMNS, so the bias is indexed per column.
+  [[nodiscard]] gemmk::Epilogue bias_epilogue() const;
 
-  /// Planner entry points (src/nn/plan.cpp); see Conv2d for the contract.
-  /// Here the GEMM is x·Wᵀ so the epilogue parameters index C COLUMNS
-  /// (per_row=false, one per output feature).
-  Tensor forward_fused(const Tensor& input, const gemmk::Epilogue& ep,
-                       bool cache);
+  /// Plan executor entry points (src/nn/plan.hpp); see Conv2d for the
+  /// contract.
+  Tensor forward_ep(const Tensor& input, const gemmk::Epilogue& ep);
   void run_fused(std::span<const float> input, std::int64_t batch,
                  std::span<float> out, const gemmk::Epilogue& ep) const;
-  Tensor backward_from(std::span<const float> grad_output,
-                       const Shape& grad_shape);
 
  private:
   std::int64_t in_;

@@ -1,10 +1,7 @@
 #include "src/nn/plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 #include "src/common/error.hpp"
 #include "src/nn/activations.hpp"
@@ -13,33 +10,6 @@
 #include "src/nn/linear.hpp"
 
 namespace splitmed::nn {
-namespace {
-
-bool planner_env_default() {
-  const char* env = std::getenv("SPLITMED_PLAN");
-  return env == nullptr || std::string_view(env) != "0";
-}
-
-std::atomic<int>& planner_state() {
-  // -1 = unresolved (read env on first query), 0 = off, 1 = on.
-  static std::atomic<int> state{-1};
-  return state;
-}
-
-}  // namespace
-
-bool planner_enabled() {
-  int s = planner_state().load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = planner_env_default() ? 1 : 0;
-    planner_state().store(s, std::memory_order_relaxed);
-  }
-  return s != 0;
-}
-
-void set_planner_enabled(bool enabled) {
-  planner_state().store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 SlabAssignment color_intervals(std::span<const LifeInterval> intervals) {
   SlabAssignment out;
@@ -77,9 +47,7 @@ SlabAssignment color_intervals(std::span<const LifeInterval> intervals) {
 
 gemmk::Epilogue make_conv_epilogue(const Conv2d& conv, const BatchNorm2d* bn,
                                    std::span<float> inv_std, bool relu) {
-  gemmk::Epilogue ep;
-  ep.bias = conv.bias_value().data().data();
-  ep.per_row = true;  // conv GEMM rows are output channels
+  gemmk::Epilogue ep = conv.bias_epilogue();
   if (bn != nullptr) {
     SPLITMED_CHECK(bn->channels() == conv.out_channels(),
                    "make_conv_epilogue: BN channels " << bn->channels()
@@ -106,69 +74,49 @@ gemmk::Epilogue make_conv_epilogue(const Conv2d& conv, const BatchNorm2d* bn,
   return ep;
 }
 
-gemmk::Epilogue make_linear_epilogue(const Linear& linear, bool relu) {
-  gemmk::Epilogue ep;
-  ep.bias = linear.bias_value().data().data();
-  ep.per_row = false;  // x·Wᵀ puts output features in C columns
-  ep.relu = relu;
+gemmk::Epilogue make_group_epilogue(const FusedGroup& group,
+                                    std::span<float> inv_std) {
+  if (group.conv != nullptr) {
+    return make_conv_epilogue(*group.conv, group.bn, inv_std, group.relu);
+  }
+  SPLITMED_CHECK(group.linear != nullptr,
+                 "make_group_epilogue: group has no GEMM root");
+  gemmk::Epilogue ep = group.linear->bias_epilogue();
+  ep.relu = group.relu;
   return ep;
 }
 
 ExecutionPlan ExecutionPlan::build(std::span<const LayerPtr> layers) {
   ExecutionPlan plan;
+  const auto is_relu = [&](std::size_t i) {
+    return i < layers.size() &&
+           dynamic_cast<ReLU*>(layers[i].get()) != nullptr;
+  };
   std::size_t i = 0;
   while (i < layers.size()) {
     FusedGroup g;
     g.begin = i;
+    g.end = i + 1;
     if (auto* conv = dynamic_cast<Conv2d*>(layers[i].get())) {
       g.conv = conv;
-      auto* bn = (i + 1 < layers.size())
-                     ? dynamic_cast<BatchNorm2d*>(layers[i + 1].get())
+      auto* bn = (g.end < layers.size())
+                     ? dynamic_cast<BatchNorm2d*>(layers[g.end].get())
                      : nullptr;
       if (bn != nullptr && bn->channels() == conv->out_channels()) {
         g.bn = bn;
-        const bool relu =
-            i + 2 < layers.size() &&
-            dynamic_cast<ReLU*>(layers[i + 2].get()) != nullptr;
-        g.kind = relu ? FuseKind::kConvBnRelu : FuseKind::kConvBn;
-        g.end = i + (relu ? 3 : 2);
-      } else if (i + 1 < layers.size() &&
-                 dynamic_cast<ReLU*>(layers[i + 1].get()) != nullptr) {
-        g.kind = FuseKind::kConvRelu;
-        g.end = i + 2;
-      } else {
-        g.kind = FuseKind::kPassthrough;
-        g.conv = nullptr;
-        g.layer = layers[i].get();
-        g.end = i + 1;
-      }
-    } else if (auto* linear = dynamic_cast<Linear*>(layers[i].get())) {
-      if (i + 1 < layers.size() &&
-          dynamic_cast<ReLU*>(layers[i + 1].get()) != nullptr) {
-        g.kind = FuseKind::kLinearRelu;
-        g.linear = linear;
-        g.end = i + 2;
-      } else {
-        g.kind = FuseKind::kPassthrough;
-        g.layer = layers[i].get();
-        g.end = i + 1;
+        ++g.end;
       }
     } else {
-      g.kind = FuseKind::kPassthrough;
-      g.layer = layers[i].get();
-      g.end = i + 1;
+      g.linear = dynamic_cast<Linear*>(layers[i].get());
+    }
+    if (g.gemm() && is_relu(g.end)) {
+      g.relu = true;
+      ++g.end;
     }
     i = g.end;
     plan.groups_.push_back(std::move(g));
   }
   return plan;
-}
-
-bool ExecutionPlan::has_fusion() const {
-  for (const FusedGroup& g : groups_) {
-    if (g.kind != FuseKind::kPassthrough) return true;
-  }
-  return false;
 }
 
 }  // namespace splitmed::nn

@@ -1,36 +1,38 @@
-// Static execution planner over layer chains.
+// Static execution planner over layer chains — the only way Sequential runs
+// its layers.
 //
 // Two cooperating passes, both bitwise inert (docs/PROTOCOL.md):
 //
-//  Pass 1 — epilogue fusion. Recognizes conv→bn→relu / conv→relu /
-//  linear→relu chains in a Sequential and folds the elementwise tail into
-//  the producing GEMM's write-back (gemmk::Epilogue), so the intermediate
-//  tensors are never materialized. Legality is proved per edge:
+//  Pass 1 — epilogue fusion. Partitions a Sequential into groups: every
+//  Conv2d [+ BatchNorm2d] [+ ReLU] and Linear [+ ReLU] becomes one group
+//  whose elementwise tail is folded into the producing GEMM's write-back
+//  (gemmk::Epilogue), so the intermediate tensors are never materialized.
+//  A Conv2d or Linear with no fusible tail is a singleton group whose
+//  epilogue is only its bias; every other layer is a singleton group run
+//  by its own forward/backward/infer. Legality is proved per edge:
 //    - bias-add and ReLU are elementwise on the finished per-element
 //      k-fold, so fusing them never reorders the reduction — legal in
 //      training AND inference forward. Backward masks dReLU on the fused
 //      OUTPUT (x > 0 on the output is exactly x > 0 on the pre-activation,
-//      including -0.0 and NaN→0), then feeds the producing layer's
-//      backward — the identical float sequence to ReLU::backward followed
-//      by the layer backward.
+//      including -0.0 and NaN→0), then runs the producing layer's backward
+//      — the identical float sequence to ReLU::backward followed by the
+//      layer backward.
 //    - inference-mode BatchNorm is a frozen per-channel affine map — legal
 //      as an epilogue, but ONLY on the infer() path. Training-mode BN needs
-//      batch statistics of the conv output, so the plan REFUSES to fuse it
-//      in forward(): kConvBn/kConvBnRelu groups run per-layer (unfused)
-//      under training, and fuse only under Sequential::infer().
+//      batch statistics of the conv output, so groups with a BN run layer
+//      by layer under forward() and fuse only under Sequential::infer().
 //
 //  Pass 2 — lifetime-based buffer reuse. Under Sequential::infer(), runs of
-//  fused groups chain through workspace-arena slabs instead of Tensors:
-//  each intermediate's lifetime is the closed interval [def group,
+//  GEMM-rooted groups chain through workspace-arena slabs instead of
+//  Tensors: each intermediate's lifetime is the closed interval [def group,
 //  last-use group], and a greedy interval coloring assigns intervals to
 //  reusable slabs (a straight chain ping-pongs between 2), so steady-state
 //  peak memory stops scaling with depth. Measured via
 //  ws::global_step_peak_bytes() / `splitmed_workspace_step_peak_bytes`.
 //
-// The planner is ON by default; SPLITMED_PLAN=0 or
-// set_planner_enabled(false) disables it, falling every path back to the
-// legacy per-layer loops. Fused and unfused execution are BITWISE IDENTICAL
-// (asserted by plan_test and the pinned golden curves).
+// Fused execution is BITWISE IDENTICAL to running each layer's own
+// forward/backward in order (asserted by plan_test against exactly that
+// per-layer reference, and by the pinned golden curves).
 #pragma once
 
 #include <cstdint>
@@ -46,37 +48,29 @@ class Conv2d;
 class Linear;
 class BatchNorm2d;
 
-/// Whether plan-driven execution is active. Defaults to the SPLITMED_PLAN
-/// environment variable (unset or anything but "0" → on), read once;
-/// set_planner_enabled overrides it at runtime (tests and the fusion smoke
-/// toggle it around runs).
-[[nodiscard]] bool planner_enabled();
-void set_planner_enabled(bool enabled);
-
-/// What a recognized group of consecutive layers fuses into.
-enum class FuseKind : std::uint8_t {
-  kPassthrough,  ///< single layer, no fusion
-  kConvRelu,     ///< Conv2d + ReLU  (fusible in training and inference)
-  kConvBn,       ///< Conv2d + BatchNorm2d  (fusible in inference only)
-  kConvBnRelu,   ///< Conv2d + BatchNorm2d + ReLU  (inference only)
-  kLinearRelu,   ///< Linear + ReLU  (fusible in training and inference)
-};
-
-/// One plan node: layers [begin, end) of the Sequential, plus typed views
-/// of the members the fused paths need. `ran_fused`/`fused_out` are
-/// per-forward state written by Sequential::forward so backward mirrors
-/// exactly what forward did.
+/// One plan node: layers [begin, end) of the Sequential. A GEMM-rooted
+/// group has `conv` or `linear` set, plus its fused tail: `bn` (inference
+/// only) and `relu`. Any other layer is a singleton group with all three
+/// unset. `fused_out` is per-forward state: the output of a fused
+/// GEMM+ReLU group, cached for the dReLU backward mask.
 struct FusedGroup {
-  FuseKind kind = FuseKind::kPassthrough;
   std::size_t begin = 0;
   std::size_t end = 0;
   Conv2d* conv = nullptr;
   Linear* linear = nullptr;
   BatchNorm2d* bn = nullptr;
-  Layer* layer = nullptr;  ///< the passthrough layer (kind == kPassthrough)
-  // Per-forward state (training path only):
-  bool ran_fused = false;
-  Tensor fused_out;  ///< group output, cached for the dReLU backward mask
+  bool relu = false;
+  Tensor fused_out;
+
+  /// Whether the group is rooted at a Conv2d or Linear GEMM.
+  [[nodiscard]] bool gemm() const {
+    return conv != nullptr || linear != nullptr;
+  }
+  /// Whether forward() (training or eval) runs the group as one fused
+  /// GEMM; groups with a BN run layer by layer there.
+  [[nodiscard]] bool fuses_in_forward() const {
+    return gemm() && bn == nullptr;
+  }
 };
 
 /// Lifetime of one chained intermediate: defined by group `def`, last read
@@ -114,10 +108,11 @@ struct SlabAssignment {
                                                  std::span<float> inv_std,
                                                  bool relu);
 
-/// Linear-rooted variant: bias per C column (output feature), optional
-/// trailing ReLU.
-[[nodiscard]] gemmk::Epilogue make_linear_epilogue(const Linear& linear,
-                                                   bool relu);
+/// The write-back epilogue of a GEMM-rooted group: make_conv_epilogue for
+/// a conv root (`inv_std` as there; unused without BN), or for a linear
+/// root its bias_epilogue() plus the optional ReLU.
+[[nodiscard]] gemmk::Epilogue make_group_epilogue(const FusedGroup& group,
+                                                  std::span<float> inv_std);
 
 /// The static plan for one Sequential: its layer list partitioned into
 /// FusedGroups. Rebuilt whenever the layer list changes (Sequential tracks
@@ -127,18 +122,14 @@ class ExecutionPlan {
   ExecutionPlan() = default;
 
   /// Chain recognition over the layer list. Greedy, left to right:
-  /// Conv2d [+ BatchNorm2d(channels match)] [+ ReLU] and Linear + ReLU
-  /// become fused groups; everything else is its own passthrough group.
+  /// Conv2d [+ BatchNorm2d(channels match)] [+ ReLU] and Linear [+ ReLU]
+  /// become GEMM-rooted groups; everything else is its own group.
   [[nodiscard]] static ExecutionPlan build(std::span<const LayerPtr> layers);
 
   [[nodiscard]] const std::vector<FusedGroup>& groups() const {
     return groups_;
   }
   [[nodiscard]] std::vector<FusedGroup>& groups() { return groups_; }
-
-  /// True when any group actually fuses (the planned paths short-circuit to
-  /// the legacy loops otherwise).
-  [[nodiscard]] bool has_fusion() const;
 
  private:
   std::vector<FusedGroup> groups_;

@@ -46,7 +46,6 @@ Tensor ResidualBlock::forward(const Tensor& input, bool training) {
 }
 
 Tensor ResidualBlock::infer(const Tensor& input) {
-  if (!planner_enabled()) return forward(input, /*training=*/false);
   // Fused inference: both main-path stages and the projection run as
   // epilogue-fused GEMMs (bias + eval BN, plus ReLU on stage 1) into arena
   // slabs — no intermediate Tensors, no backward caches. The residual join

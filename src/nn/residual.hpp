@@ -17,12 +17,13 @@ class ResidualBlock final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// Planner-fused inference: conv+bn(+relu) stages run with epilogue-fused
-  /// GEMMs through workspace slabs; the residual join and final ReLU stay
+  /// Fused inference: conv+bn(+relu) stages run with epilogue-fused GEMMs
+  /// through workspace slabs; the residual join and final ReLU stay
   /// elementwise OUTSIDE the GEMM (the join reads two producers, so folding
   /// it into either would need the other materialized anyway — adding it
   /// post-fold keeps the exact ops::add float sequence). Bitwise identical
-  /// to forward(input, false); falls back to it when the planner is off.
+  /// to forward(input, false). forward() itself runs each Conv2d through
+  /// the same GEMM+epilogue kernel with a bias-only epilogue.
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override;

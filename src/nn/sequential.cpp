@@ -1,5 +1,6 @@
 #include "src/nn/sequential.hpp"
 
+#include <optional>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -48,161 +49,87 @@ const ExecutionPlan& Sequential::plan() {
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
   ensure_plan();
-  if (planner_enabled() && plan_.has_fusion()) {
-    return forward_planned(input, training);
-  }
-  last_forward_planned_ = false;
   Tensor x = input;
-  if (obs::detail_at_least(2)) {
-    // Per-layer spans (--trace-detail=2): where the compute time goes.
-    std::uint64_t index = 0;
-    for (const auto& layer : layers_) {
-      obs::Span span(obs::trace(), "nn." + layer->name(), "nn");
-      span.arg("dir", "forward");
-      span.arg("index", index++);
-      x = layer->forward(x, training);
+  std::uint64_t index = 0;
+  for (FusedGroup& g : plan_.groups()) {
+    std::optional<obs::Span> span;
+    if (obs::detail_at_least(2)) {
+      // Per-group spans (--trace-detail=2): where the compute time goes.
+      span.emplace(obs::trace(), "nn." + group_label(g, layers_), "nn");
+      span->arg("dir", "forward");
+      span->arg("index", index);
     }
-    return x;
+    ++index;
+    if (g.fuses_in_forward()) {
+      // One GEMM with bias (and ReLU) at write-back, in both modes. A
+      // ReLU group's output is cached for the dReLU backward mask.
+      const gemmk::Epilogue ep = make_group_epilogue(g, {});
+      x = (g.conv != nullptr) ? g.conv->forward_ep(x, ep)
+                              : g.linear->forward_ep(x, ep);
+      if (g.relu) g.fused_out = x;
+    } else {
+      // BN groups run layer by layer: training-mode BN needs batch
+      // statistics of the conv output, and eval-mode forward() must leave
+      // BatchNorm's backward cache intact (privacy::reconstruct_inputs
+      // differentiates an eval forward) — only infer() fuses BN.
+      for (std::size_t i = g.begin; i < g.end; ++i) {
+        x = layers_[i]->forward(x, training);
+      }
+    }
   }
-  for (const auto& layer : layers_) x = layer->forward(x, training);
-  return x;
-}
-
-Tensor Sequential::forward_planned(const Tensor& input, bool training) {
-  last_forward_planned_ = true;
-  Tensor x = input;
-  // Runs one plan group. conv→relu and linear→relu fuse the ReLU into the
-  // GEMM write-back in BOTH modes (elementwise-after-fold, bitwise inert;
-  // the group's output is cached for the dReLU backward mask). BN-rooted
-  // groups run per-layer here: training-mode BN needs batch statistics of
-  // the conv output, and eval-mode forward() must leave BatchNorm's
-  // backward cache intact (privacy::reconstruct_inputs differentiates an
-  // eval forward) — only infer() fuses BN.
-  auto run_group = [&](FusedGroup& g) {
-    switch (g.kind) {
-      case FuseKind::kConvRelu: {
-        const gemmk::Epilogue ep =
-            make_conv_epilogue(*g.conv, nullptr, {}, /*relu=*/true);
-        x = g.conv->forward_fused(x, ep, /*cache=*/true);
-        g.fused_out = x;
-        g.ran_fused = true;
-        break;
-      }
-      case FuseKind::kLinearRelu: {
-        const gemmk::Epilogue ep = make_linear_epilogue(*g.linear, true);
-        x = g.linear->forward_fused(x, ep, /*cache=*/true);
-        g.fused_out = x;
-        g.ran_fused = true;
-        break;
-      }
-      default: {
-        g.ran_fused = false;
-        for (std::size_t i = g.begin; i < g.end; ++i) {
-          x = layers_[i]->forward(x, training);
-        }
-        break;
-      }
-    }
-  };
-  if (obs::detail_at_least(2)) {
-    std::uint64_t index = 0;
-    for (FusedGroup& g : plan_.groups()) {
-      obs::Span span(obs::trace(), "nn." + group_label(g, layers_), "nn");
-      span.arg("dir", "forward");
-      span.arg("index", index++);
-      run_group(g);
-    }
-    return x;
-  }
-  for (FusedGroup& g : plan_.groups()) run_group(g);
   return x;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
-  if (last_forward_planned_) return backward_planned(grad_output);
-  Tensor g = grad_output;
-  if (obs::detail_at_least(2)) {
-    for (std::size_t i = layers_.size(); i-- > 0;) {
-      obs::Span span(obs::trace(), "nn." + layers_[i]->name(), "nn");
-      span.arg("dir", "backward");
-      span.arg("index", static_cast<std::uint64_t>(i));
-      g = layers_[i]->backward(g);
-    }
-    return g;
-  }
-  for (std::size_t i = layers_.size(); i-- > 0;) {
-    g = layers_[i]->backward(g);
-  }
-  return g;
-}
-
-Tensor Sequential::backward_planned(const Tensor& grad_output) {
+  ensure_plan();
   Tensor g = grad_output;
   auto& groups = plan_.groups();
-  // Mirrors forward_planned exactly: groups that ran fused get the dReLU
-  // mask applied to the incoming gradient on the cached fused OUTPUT
-  // (out > 0 ⟺ pre-activation > 0, including -0.0 and NaN→0, so the
-  // masked bytes equal ReLU::backward's result), scratch-buffered in the
-  // arena, then the producing layer's backward runs on those bytes.
-  auto run_group = [&](FusedGroup& grp) {
-    if (grp.ran_fused) {
-      check_same_shape(g.shape(), grp.fused_out.shape(),
-                       "Sequential fused backward");
-      ws::WorkspaceScope scope;
-      std::span<float> masked = scope.floats(grp.fused_out.numel());
-      auto fd = grp.fused_out.data();
-      auto gd = g.data();
-      for (std::size_t i = 0; i < gd.size(); ++i) {
-        masked[i] = fd[i] > 0.0F ? gd[i] : 0.0F;
+  for (std::size_t gi = groups.size(); gi-- > 0;) {
+    FusedGroup& grp = groups[gi];
+    std::optional<obs::Span> span;
+    if (obs::detail_at_least(2)) {
+      span.emplace(obs::trace(), "nn." + group_label(grp, layers_), "nn");
+      span->arg("dir", "backward");
+      span->arg("index", static_cast<std::uint64_t>(gi));
+    }
+    if (grp.fuses_in_forward()) {
+      if (grp.relu) {
+        // dReLU on the cached fused OUTPUT, in place on the gradient this
+        // loop owns: out > 0 ⟺ pre-activation > 0 (including -0.0 and
+        // NaN→0), so the masked bytes equal ReLU::backward's result.
+        check_same_shape(g.shape(), grp.fused_out.shape(),
+                         "Sequential fused backward");
+        auto fd = grp.fused_out.data();
+        auto gd = g.data();
+        for (std::size_t i = 0; i < gd.size(); ++i) {
+          if (!(fd[i] > 0.0F)) gd[i] = 0.0F;
+        }
       }
-      g = (grp.conv != nullptr)
-              ? grp.conv->backward_from(masked, grp.fused_out.shape())
-              : grp.linear->backward_from(masked, grp.fused_out.shape());
+      g = (grp.conv != nullptr) ? grp.conv->backward(g)
+                                : grp.linear->backward(g);
     } else {
       for (std::size_t i = grp.end; i-- > grp.begin;) {
         g = layers_[i]->backward(g);
       }
     }
-  };
-  if (obs::detail_at_least(2)) {
-    for (std::size_t gi = groups.size(); gi-- > 0;) {
-      obs::Span span(obs::trace(),
-                     "nn." + group_label(groups[gi], layers_), "nn");
-      span.arg("dir", "backward");
-      span.arg("index", static_cast<std::uint64_t>(gi));
-      run_group(groups[gi]);
-    }
-    return g;
   }
-  for (std::size_t gi = groups.size(); gi-- > 0;) run_group(groups[gi]);
   return g;
 }
 
 Tensor Sequential::infer(const Tensor& input) {
   ensure_plan();
-  if (!planner_enabled() || !plan_.has_fusion()) {
-    // Legacy eval loop — per-layer forward(x, false), the unfused
-    // comparator (keeps every layer's backward cache, as evaluate did
-    // before the planner existed).
-    Tensor x = input;
-    for (const auto& layer : layers_) x = layer->forward(x, false);
-    return x;
-  }
   Tensor x = input;
   auto& groups = plan_.groups();
   std::size_t gi = 0;
   while (gi < groups.size()) {
-    if (groups[gi].kind == FuseKind::kPassthrough) {
-      x = groups[gi].layer->infer(x);
+    if (!groups[gi].gemm()) {
+      x = layers_[groups[gi].begin]->infer(x);
       ++gi;
       continue;
     }
-    // Maximal run of fused groups chains through arena slabs.
+    // Maximal run of GEMM-rooted groups chains through arena slabs.
     std::size_t gj = gi + 1;
-    while (gj < groups.size() &&
-           groups[gj].kind != FuseKind::kPassthrough) {
-      ++gj;
-    }
+    while (gj < groups.size() && groups[gj].gemm()) ++gj;
     x = infer_fused_run(x, gi, gj);
     gi = gj;
   }
@@ -251,18 +178,14 @@ Tensor Sequential::infer_fused_run(const Tensor& input, std::size_t g0,
             ? out.data()
             : slabs[assignment.color[i]].first(
                   static_cast<std::size_t>(shapes[i].numel()));
+    std::span<float> inv_std = (g.bn != nullptr)
+                                   ? scope.floats(g.bn->channels())
+                                   : std::span<float>{};
+    const gemmk::Epilogue ep = make_group_epilogue(g, inv_std);
     if (g.conv != nullptr) {
-      std::span<float> inv_std =
-          (g.bn != nullptr) ? scope.floats(g.bn->channels())
-                            : std::span<float>{};
-      const bool relu = g.kind == FuseKind::kConvRelu ||
-                        g.kind == FuseKind::kConvBnRelu;
-      const gemmk::Epilogue ep =
-          make_conv_epilogue(*g.conv, g.bn, inv_std, relu);
       g.conv->run_fused(cur, cur_shape.dim(0), cur_shape.dim(2),
                         cur_shape.dim(3), dst, ep);
     } else {
-      const gemmk::Epilogue ep = make_linear_epilogue(*g.linear, true);
       g.linear->run_fused(cur, cur_shape.dim(0), dst, ep);
     }
     cur = dst;

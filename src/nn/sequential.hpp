@@ -1,4 +1,10 @@
 // Ordered container of layers — the unit the split-learning cut operates on.
+//
+// Every forward, backward and infer runs over the container's execution
+// plan (src/nn/plan.hpp): a Conv2d or Linear and its fusible tail form one
+// group executed as a single GEMM+epilogue (a lone Conv2d or Linear is a
+// singleton group whose epilogue is only its bias); any other layer runs
+// through its own forward/backward/infer.
 #pragma once
 
 #include <memory>
@@ -21,12 +27,16 @@ class Sequential final : public Layer {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
+  /// Runs the plan's groups in order. Groups without a BN run fused (with
+  /// their ReLU, if any, at GEMM write-back) in training and eval mode;
+  /// BN groups run layer by layer.
   Tensor forward(const Tensor& input, bool training) override;
+  /// Mirrors forward() group by group: a fused ReLU group masks dReLU on
+  /// its cached output, then runs its GEMM layer's backward.
   Tensor backward(const Tensor& grad_output) override;
-  /// Plan-driven inference: fused groups (including inference-mode BN)
-  /// chain through lifetime-colored workspace slabs; with the planner off,
-  /// falls back to the legacy per-layer forward(x, false) loop. Outputs are
-  /// bitwise identical either way.
+  /// Inference: runs of GEMM-rooted groups (including inference-mode BN)
+  /// chain through lifetime-colored workspace slabs. Bitwise identical to
+  /// forward(input, false).
   Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override;
@@ -58,18 +68,10 @@ class Sequential final : public Layer {
   /// hook.
   [[nodiscard]] const ExecutionPlan& plan();
 
-  /// Whether the most recent forward() took the plan-driven path (backward
-  /// mirrors this; exposed for tests).
-  [[nodiscard]] bool last_forward_planned() const {
-    return last_forward_planned_;
-  }
-
  private:
   void ensure_plan();
-  Tensor forward_planned(const Tensor& input, bool training);
-  Tensor backward_planned(const Tensor& grad_output);
-  /// Chains fused groups [g0, g1) of the plan through lifetime-colored
-  /// arena slabs (inference only — no caches survive).
+  /// Chains GEMM-rooted groups [g0, g1) of the plan through lifetime-
+  /// colored arena slabs (inference only — no caches survive).
   Tensor infer_fused_run(const Tensor& input, std::size_t g0, std::size_t g1);
 
   std::vector<LayerPtr> layers_;
@@ -77,7 +79,6 @@ class Sequential final : public Layer {
   ExecutionPlan plan_;
   std::uint64_t structure_version_ = 0;
   std::uint64_t planned_version_ = ~std::uint64_t{0};
-  bool last_forward_planned_ = false;
 };
 
 }  // namespace splitmed::nn

@@ -26,7 +26,6 @@
 #include "src/core/trainer.hpp"
 #include "src/data/synthetic_cifar.hpp"
 #include "src/models/factory.hpp"
-#include "src/nn/plan.hpp"
 
 namespace splitmed {
 namespace {
@@ -177,19 +176,6 @@ TEST(GoldenCurve, FixedSeedRunMatchesFingerprint) {
                   << dump("kGoldenLoss", loss) << "\n"
                   << dump("kGoldenAcc", acc);
   }
-}
-
-TEST(GoldenCurve, PlannerOffMatchesGoldens) {
-  // The execution planner is ON by default, so the pinned fingerprints
-  // above already certify the FUSED path (the golden MLP trains through
-  // fused linear→relu groups). This case certifies the other direction:
-  // turning the planner OFF reproduces the exact same numbers — fusion is
-  // bitwise inert, not merely "close".
-  nn::set_planner_enabled(false);
-  const auto report = golden_run();
-  nn::set_planner_enabled(true);
-  expect_fingerprint(report, kGoldenBytes, kGoldenLoss, kGoldenAcc,
-                     "planner off");
 }
 
 TEST(GoldenCurve, ByteSeriesIsReproducible) {

@@ -1,13 +1,15 @@
 // Execution-planner tests: chain recognition, fusion legality (training BN
 // must NOT fuse), the lifetime interval coloring (no two overlapping
 // intervals may share a slab), and — the load-bearing contract — bitwise
-// equality of fused and unfused execution across thread counts. Run twice
-// by ctest: once with the dispatched ISA and once pinned to the base
+// equality of the plan executor with a per-layer reference (each layer's
+// own forward/backward/infer called in order) across thread counts. Run
+// twice by ctest: once with the dispatched ISA and once pinned to the base
 // micro-kernel (plan_test_base_isa), mirroring gemm_test.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -27,17 +29,14 @@
 namespace splitmed::nn {
 namespace {
 
-// Restores planner + pool defaults on scope exit so toggles don't leak
-// between tests (the planner is process-global state).
-class PlannerGuard {
+// Restores the pool default on scope exit so thread-count tweaks don't leak
+// between tests.
+class PoolGuard {
  public:
-  PlannerGuard() = default;
-  ~PlannerGuard() {
-    set_planner_enabled(true);
-    set_global_threads(0);
-  }
-  PlannerGuard(const PlannerGuard&) = delete;
-  PlannerGuard& operator=(const PlannerGuard&) = delete;
+  PoolGuard() = default;
+  ~PoolGuard() { set_global_threads(0); }
+  PoolGuard(const PoolGuard&) = delete;
+  PoolGuard& operator=(const PoolGuard&) = delete;
 };
 
 bool bitwise_equal(std::span<const float> x, std::span<const float> y) {
@@ -53,6 +52,28 @@ Tensor random_input(const Shape& shape, std::uint64_t seed) {
   return t;
 }
 
+// The per-layer references the plan executor must reproduce bitwise: every
+// layer's own forward / backward / infer, called in order.
+Tensor reference_forward(Sequential& seq, const Tensor& x, bool training) {
+  Tensor y = x;
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    y = seq.layer(i).forward(y, training);
+  }
+  return y;
+}
+
+Tensor reference_backward(Sequential& seq, const Tensor& grad) {
+  Tensor g = grad;
+  for (std::size_t i = seq.size(); i-- > 0;) g = seq.layer(i).backward(g);
+  return g;
+}
+
+Tensor reference_infer(Sequential& seq, const Tensor& x) {
+  Tensor y = x;
+  for (std::size_t i = 0; i < seq.size(); ++i) y = seq.layer(i).infer(y);
+  return y;
+}
+
 // Runs a few training batches so the BN running statistics are non-trivial
 // (fresh mean=0/var=1 would make the BN epilogue nearly an identity map and
 // hide indexing bugs).
@@ -62,32 +83,52 @@ void warm_up(Sequential& seq, const Shape& in_shape) {
   }
 }
 
+// Expected shape of one plan group: which GEMM roots it and its tail.
+struct GroupSpec {
+  bool conv = false;
+  bool linear = false;
+  bool bn = false;
+  bool relu = false;
+};
+
+void expect_group(const FusedGroup& g, GroupSpec want, std::size_t index) {
+  EXPECT_EQ(g.conv != nullptr, want.conv) << "group " << index;
+  EXPECT_EQ(g.linear != nullptr, want.linear) << "group " << index;
+  EXPECT_EQ(g.bn != nullptr, want.bn) << "group " << index;
+  EXPECT_EQ(g.relu, want.relu) << "group " << index;
+}
+
 TEST(PlanBuild, RecognizesConvAndLinearChains) {
   Rng rng(7);
   Sequential seq;
   seq.emplace<Conv2d>(3, 8, 3, 1, 1, rng);   // ┐
-  seq.emplace<BatchNorm2d>(8);               // ├ kConvBnRelu
+  seq.emplace<BatchNorm2d>(8);               // ├ conv + bn + relu
   seq.emplace<ReLU>();                       // ┘
-  seq.emplace<Conv2d>(8, 8, 3, 1, 1, rng);   // ┐ kConvRelu
+  seq.emplace<Conv2d>(8, 8, 3, 1, 1, rng);   // ┐ conv + relu
   seq.emplace<ReLU>();                       // ┘
-  seq.emplace<MaxPool2d>(2);                 // passthrough
-  seq.emplace<Conv2d>(8, 4, 3, 1, 1, rng);   // ┐ kConvBn
+  seq.emplace<MaxPool2d>(2);                 // not GEMM-rooted
+  seq.emplace<Conv2d>(8, 4, 3, 1, 1, rng);   // ┐ conv + bn
   seq.emplace<BatchNorm2d>(4);               // ┘
-  seq.emplace<Flatten>();                    // passthrough
-  seq.emplace<Linear>(4 * 4 * 4, 16, rng);   // ┐ kLinearRelu
+  seq.emplace<Flatten>();                    // not GEMM-rooted
+  seq.emplace<Linear>(4 * 4 * 4, 16, rng);   // ┐ linear + relu
   seq.emplace<ReLU>();                       // ┘
-  seq.emplace<Linear>(16, 10, rng);          // passthrough
+  seq.emplace<Linear>(16, 10, rng);          // linear, bias-only epilogue
 
   const auto& groups = seq.plan().groups();
   ASSERT_EQ(groups.size(), 7U);
-  EXPECT_EQ(groups[0].kind, FuseKind::kConvBnRelu);
-  EXPECT_EQ(groups[1].kind, FuseKind::kConvRelu);
-  EXPECT_EQ(groups[2].kind, FuseKind::kPassthrough);
-  EXPECT_EQ(groups[3].kind, FuseKind::kConvBn);
-  EXPECT_EQ(groups[4].kind, FuseKind::kPassthrough);
-  EXPECT_EQ(groups[5].kind, FuseKind::kLinearRelu);
-  EXPECT_EQ(groups[6].kind, FuseKind::kPassthrough);
-  EXPECT_TRUE(seq.plan().has_fusion());
+  expect_group(groups[0], {.conv = true, .bn = true, .relu = true}, 0);
+  expect_group(groups[1], {.conv = true, .relu = true}, 1);
+  expect_group(groups[2], {}, 2);
+  expect_group(groups[3], {.conv = true, .bn = true}, 3);
+  expect_group(groups[4], {}, 4);
+  expect_group(groups[5], {.linear = true, .relu = true}, 5);
+  expect_group(groups[6], {.linear = true}, 6);
+  // forward() fuses exactly the groups without a BN.
+  const std::vector<bool> fuses = {false, true, false, false,
+                                   false, true, true};
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    EXPECT_EQ(groups[i].fuses_in_forward(), fuses[i]) << "group " << i;
+  }
 
   // Group spans must tile the layer list exactly.
   std::size_t expect_begin = 0;
@@ -102,16 +143,17 @@ TEST(PlanBuild, RecognizesConvAndLinearChains) {
 TEST(PlanBuild, BnWithMismatchedChannelsDoesNotFuse) {
   // A BN whose channel count differs from the producing conv's output is
   // not this conv's tail (such a model fails at forward anyway) — the
-  // recognizer must leave both as passthrough rather than build an epilogue
-  // indexing out of bounds.
+  // recognizer must leave the conv a bias-only singleton and the BN its own
+  // group rather than build an epilogue indexing out of bounds.
   Rng rng(11);
   Sequential seq;
   seq.emplace<Conv2d>(3, 8, 3, 1, 1, rng);
   seq.emplace<BatchNorm2d>(4);
   const auto& groups = seq.plan().groups();
   ASSERT_EQ(groups.size(), 2U);
-  EXPECT_EQ(groups[0].kind, FuseKind::kPassthrough);
-  EXPECT_EQ(groups[1].kind, FuseKind::kPassthrough);
+  expect_group(groups[0], {.conv = true}, 0);
+  EXPECT_EQ(groups[0].end, 1U);
+  expect_group(groups[1], {}, 1);
 }
 
 TEST(PlanBuild, StructuralEditInvalidatesPlan) {
@@ -120,12 +162,12 @@ TEST(PlanBuild, StructuralEditInvalidatesPlan) {
   seq.emplace<Linear>(6, 6, rng);
   seq.emplace<ReLU>();
   ASSERT_EQ(seq.plan().groups().size(), 1U);
-  EXPECT_EQ(seq.plan().groups()[0].kind, FuseKind::kLinearRelu);
+  expect_group(seq.plan().groups()[0], {.linear = true, .relu = true}, 0);
   // Appending splits nothing retroactively, but the plan must rebuild and
   // cover the new layer.
   seq.emplace<Linear>(6, 2, rng);
   ASSERT_EQ(seq.plan().groups().size(), 2U);
-  EXPECT_EQ(seq.plan().groups()[1].kind, FuseKind::kPassthrough);
+  expect_group(seq.plan().groups()[1], {.linear = true}, 1);
   // extract() moves layers out; a stale plan would dangle.
   Sequential tail = seq.extract(2, 3);
   ASSERT_EQ(seq.plan().groups().size(), 1U);
@@ -181,10 +223,9 @@ TEST(PlanColoring, OverlappingIntervalsNeverShareASlab) {
 
 TEST(PlanTraining, TrainingBnStaysUnfused) {
   // Training-mode BN needs batch statistics of the conv output — fusing it
-  // would compute statistics of a tensor that no longer exists. The planned
-  // forward must run conv→bn→relu per-layer under training, and the BN
-  // running statistics must advance exactly as in the legacy path.
-  PlannerGuard guard;
+  // would compute statistics of a tensor that no longer exists. The plan
+  // must run conv→bn→relu per-layer under training, and the BN running
+  // statistics must advance exactly as under the per-layer reference.
   Rng rng(17);
   Sequential seq;
   seq.emplace<Conv2d>(2, 4, 3, 1, 1, rng);
@@ -192,24 +233,23 @@ TEST(PlanTraining, TrainingBnStaysUnfused) {
   seq.emplace<ReLU>();
   const Shape in_shape({3, 2, 6, 6});
 
-  set_planner_enabled(true);
   const Tensor x = random_input(in_shape, 21);
   const Tensor out_planned = seq.forward(x, /*training=*/true);
   const auto& grp = seq.plan().groups();
   ASSERT_EQ(grp.size(), 1U);
-  EXPECT_EQ(grp[0].kind, FuseKind::kConvBnRelu);
-  EXPECT_FALSE(grp[0].ran_fused) << "training BN must not run fused";
+  expect_group(grp[0], {.conv = true, .bn = true, .relu = true}, 0);
+  EXPECT_FALSE(grp[0].fuses_in_forward()) << "training BN must not run fused";
   const Tensor mean_planned =
       dynamic_cast<BatchNorm2d&>(seq.layer(1)).running_mean();
 
-  // Identical twin network, planner off: same forward bytes, same stats.
+  // Identical twin network through the per-layer reference: same forward
+  // bytes, same stats.
   Rng rng2(17);
   Sequential ref;
   ref.emplace<Conv2d>(2, 4, 3, 1, 1, rng2);
   ref.emplace<BatchNorm2d>(4);
   ref.emplace<ReLU>();
-  set_planner_enabled(false);
-  const Tensor out_ref = ref.forward(x, /*training=*/true);
+  const Tensor out_ref = reference_forward(ref, x, /*training=*/true);
   EXPECT_TRUE(bitwise_equal(out_planned.data(), out_ref.data()));
   EXPECT_TRUE(bitwise_equal(
       mean_planned.data(),
@@ -217,20 +257,26 @@ TEST(PlanTraining, TrainingBnStaysUnfused) {
 }
 
 TEST(PlanTraining, FusedTrainingStepIsBitwiseAcrossThreads) {
-  // The tentpole contract for the training path: with conv→relu and
-  // linear→relu fused (epilogue write-back forward, output-masked dReLU
-  // backward), the forward output AND every parameter gradient are bitwise
-  // identical to the unfused per-layer path — at 1, 2, and 8 threads.
-  PlannerGuard guard;
+  // The contract for the training path: with conv→relu and linear→relu
+  // fused (epilogue write-back forward, output-masked dReLU backward), a
+  // conv→bn→relu group run per-layer, and bias-only conv/linear singletons,
+  // the forward output, the input gradient AND every parameter gradient
+  // are bitwise identical to the per-layer reference — at 1, 2, and 8
+  // threads.
+  PoolGuard guard;
   Rng rng(29);
   Sequential seq;
   seq.emplace<Conv2d>(2, 4, 3, 1, 1, rng);
   seq.emplace<ReLU>();
+  seq.emplace<Conv2d>(4, 4, 3, 1, 1, rng);
+  seq.emplace<BatchNorm2d>(4);
+  seq.emplace<ReLU>();
+  seq.emplace<Conv2d>(4, 4, 3, 1, 1, rng);
   seq.emplace<Flatten>();
   seq.emplace<Linear>(4 * 5 * 5, 16, rng);
   seq.emplace<ReLU>();
   seq.emplace<Linear>(16, 3, rng);
-  ASSERT_TRUE(seq.plan().has_fusion());
+  ASSERT_EQ(seq.plan().groups().size(), 6U);
   const Shape in_shape({4, 2, 5, 5});
   const Tensor x = random_input(in_shape, 31);
   const Tensor g = random_input(Shape({4, 3}), 37);
@@ -238,11 +284,11 @@ TEST(PlanTraining, FusedTrainingStepIsBitwiseAcrossThreads) {
   for (const int threads : {1, 2, 8}) {
     set_global_threads(threads);
     const auto run = [&](bool planned) {
-      set_planner_enabled(planned);
       for (Parameter* p : seq.parameters()) p->zero_grad();
-      const Tensor out = seq.forward(x, /*training=*/true);
-      EXPECT_EQ(seq.last_forward_planned(), planned);
-      const Tensor gin = seq.backward(g);
+      const Tensor out = planned ? seq.forward(x, /*training=*/true)
+                                 : reference_forward(seq, x, true);
+      const Tensor gin =
+          planned ? seq.backward(g) : reference_backward(seq, g);
       std::vector<std::vector<float>> grads;
       for (Parameter* p : seq.parameters()) {
         const auto d = p->grad.data();
@@ -264,11 +310,26 @@ TEST(PlanTraining, FusedTrainingStepIsBitwiseAcrossThreads) {
   }
 }
 
+// infer() must equal eval-mode forward() and both per-layer references.
+void expect_infer_matches(Sequential& seq, const Tensor& x,
+                          const char* what) {
+  const Tensor ref = reference_forward(seq, x, /*training=*/false);
+  const Tensor ref_infer = reference_infer(seq, x);
+  const Tensor eval = seq.forward(x, /*training=*/false);
+  const Tensor fused = seq.infer(x);
+  EXPECT_EQ(fused.shape(), ref.shape()) << what;
+  EXPECT_TRUE(bitwise_equal(fused.data(), ref.data())) << what;
+  EXPECT_TRUE(bitwise_equal(fused.data(), ref_infer.data())) << what;
+  EXPECT_TRUE(bitwise_equal(fused.data(), eval.data())) << what;
+}
+
 TEST(PlanInfer, InferMatchesEvalForwardBitwise) {
   // The inference path adds what training cannot have: fused eval-mode BN
-  // and slab-chained intermediates. Still bitwise identical to the legacy
-  // per-layer forward(x, false), across thread counts.
-  PlannerGuard guard;
+  // and slab-chained intermediates. Still bitwise identical to eval-mode
+  // forward and to the per-layer references, across thread counts — for
+  // the mixed net (ending in a bias-only Linear) and for a lone Conv2d and
+  // a lone Linear, which run as bias-only singleton groups.
+  PoolGuard guard;
   Rng rng(41);
   Sequential seq;
   seq.emplace<Conv2d>(3, 8, 3, 1, 1, rng);
@@ -285,24 +346,26 @@ TEST(PlanInfer, InferMatchesEvalForwardBitwise) {
   seq.emplace<Linear>(16, 10, rng);
   const Shape in_shape({2, 3, 8, 8});
   warm_up(seq, in_shape);
+  Sequential lone_conv;
+  lone_conv.emplace<Conv2d>(3, 5, 3, 2, 1, rng);
+  Sequential lone_linear;
+  lone_linear.emplace<Linear>(7, 4, rng);
 
   const Tensor x = random_input(in_shape, 43);
+  const Tensor xl = random_input(Shape({3, 7}), 45);
   for (const int threads : {1, 2, 8}) {
     set_global_threads(threads);
-    set_planner_enabled(false);
-    const Tensor ref = seq.forward(x, /*training=*/false);
-    set_planner_enabled(true);
-    const Tensor fused = seq.infer(x);
-    EXPECT_EQ(fused.shape(), ref.shape());
-    EXPECT_TRUE(bitwise_equal(fused.data(), ref.data()))
-        << "threads=" << threads;
+    const std::string at = " threads=" + std::to_string(threads);
+    expect_infer_matches(seq, x, ("mixed net" + at).c_str());
+    expect_infer_matches(lone_conv, x, ("lone conv" + at).c_str());
+    expect_infer_matches(lone_linear, xl, ("lone linear" + at).c_str());
   }
 }
 
 TEST(PlanInfer, ResidualInferMatchesForwardBitwise) {
   // Both residual variants: identity skip and 1x1 projection skip. The
   // fused join must reproduce ops::add + in-place ReLU exactly.
-  PlannerGuard guard;
+  PoolGuard guard;
   Rng rng(47);
   ResidualBlock plain(4, 4, 1, rng);
   ResidualBlock proj(4, 8, 2, rng);
@@ -315,10 +378,8 @@ TEST(PlanInfer, ResidualInferMatchesForwardBitwise) {
   const Tensor x = random_input(in_shape, 53);
   for (const int threads : {1, 2, 8}) {
     set_global_threads(threads);
-    set_planner_enabled(false);
     const Tensor ref_plain = plain.forward(x, false);
     const Tensor ref_proj = proj.forward(x, false);
-    set_planner_enabled(true);
     const Tensor fused_plain = plain.infer(x);
     const Tensor fused_proj = proj.infer(x);
     EXPECT_TRUE(bitwise_equal(fused_plain.data(), ref_plain.data()))
@@ -333,9 +394,8 @@ TEST(PlanInfer, PeakWorkspaceIsFlatInDepth) {
   // colored slabs, so the peak arena footprint of an inference step must
   // not grow with chain depth. Measured with the step-peak watermark the
   // planner reports through `splitmed_workspace_step_peak_bytes`.
-  PlannerGuard guard;
+  PoolGuard guard;
   set_global_threads(1);
-  set_planner_enabled(true);
   const Shape in_shape({2, 4, 12, 12});
   const auto peak_at_depth = [&](int depth) {
     Rng rng(59);
@@ -357,22 +417,6 @@ TEST(PlanInfer, PeakWorkspaceIsFlatInDepth) {
   const std::size_t p16 = peak_at_depth(16);
   EXPECT_GT(p4, 0U);
   EXPECT_EQ(p16, p4) << "peak workspace grew with depth";
-}
-
-TEST(PlanInfer, PlannerOffInferStillMatches) {
-  // infer() must be safe (and identical) with the planner disabled — it
-  // falls back to the per-layer eval loop.
-  PlannerGuard guard;
-  Rng rng(67);
-  Sequential seq;
-  seq.emplace<Linear>(8, 8, rng);
-  seq.emplace<ReLU>();
-  seq.emplace<Linear>(8, 2, rng);
-  const Tensor x = random_input(Shape({3, 8}), 71);
-  set_planner_enabled(false);
-  const Tensor a = seq.infer(x);
-  const Tensor b = seq.forward(x, false);
-  EXPECT_TRUE(bitwise_equal(a.data(), b.data()));
 }
 
 }  // namespace

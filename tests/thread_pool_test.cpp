@@ -55,6 +55,39 @@ TEST(ThreadPool, PropagatesChunkExceptions) {
   EXPECT_EQ(done.load(), 8);
 }
 
+TEST(ThreadPool, BackToBackTinyJobsNeverRunStaleBodies) {
+  // Regression for a stale-job race: a worker that woke late used to call
+  // the previous job's callable (a reference into run()'s finished frame)
+  // with that job's chunk count, while claiming chunks of the next job.
+  // Thousands of tiny back-to-back jobs with distinct bodies and varying
+  // chunk counts make that interleaving likely on any multi-core host;
+  // every chunk must run exactly once, under its own job's body.
+  constexpr int kJobs = 3000;
+  constexpr int kMaxChunks = 9;
+  for (const int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
+    std::vector<int> owner(static_cast<std::size_t>(kJobs * kMaxChunks), -1);
+    std::atomic<int> calls{0};
+    int expected_calls = 0;
+    for (int job = 0; job < kJobs; ++job) {
+      const int chunks = 2 + job % (kMaxChunks - 1);
+      expected_calls += chunks;
+      pool.run(chunks, [&owner, &calls, job, chunks](int c) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        if (c < chunks) {
+          owner[static_cast<std::size_t>(job * kMaxChunks + c)] = job;
+        }
+      });
+      for (int c = 0; c < chunks; ++c) {
+        ASSERT_EQ(owner[static_cast<std::size_t>(job * kMaxChunks + c)], job)
+            << "job " << job << " chunk " << c << " at " << threads
+            << " threads";
+      }
+    }
+    EXPECT_EQ(calls.load(), expected_calls) << threads << " threads";
+  }
+}
+
 TEST(ParallelFor, CoversRangeWithDisjointChunks) {
   PoolGuard guard;
   set_global_threads(4);
