@@ -15,6 +15,8 @@ class Dropout final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Identity that keeps the last training mask (see Flatten::infer).
+  Tensor infer(const Tensor& input) override { return input; }
   [[nodiscard]] Shape output_shape(const Shape& input) const override {
     return input;
   }

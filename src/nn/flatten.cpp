@@ -16,6 +16,10 @@ Tensor Flatten::forward(const Tensor& input, bool /*training*/) {
   return input.reshape(output_shape(input.shape()));
 }
 
+Tensor Flatten::infer(const Tensor& input) {
+  return input.reshape(output_shape(input.shape()));
+}
+
 Tensor Flatten::backward(const Tensor& grad_output) {
   SPLITMED_CHECK(cached_input_shape_.rank() >= 1,
                  "Flatten backward before forward");

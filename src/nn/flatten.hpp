@@ -9,6 +9,10 @@ class Flatten final : public Layer {
  public:
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Leaves the backward cache alone: an eval pass may run while a training
+  /// step is still mid-flight (bounded staleness evaluates with stragglers
+  /// outstanding), and that step's backward must still see its own shape.
+  Tensor infer(const Tensor& input) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::string name() const override { return "Flatten"; }
 

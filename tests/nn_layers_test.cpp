@@ -301,6 +301,18 @@ TEST(Dropout, BackwardUsesSameMask) {
   EXPECT_EQ(ops::max_abs_diff(gin, y), 0.0F);
 }
 
+TEST(Dropout, InferKeepsTheTrainingMask) {
+  // An eval pass between a training forward and its backward (bounded
+  // staleness evaluates with steps still in flight) must not disturb it.
+  Rng rng(12);
+  nn::Dropout drop(0.3F, rng);
+  const Tensor x = Tensor::ones(Shape{128});
+  const Tensor y = drop.forward(x, true);
+  EXPECT_EQ(ops::max_abs_diff(drop.infer(x), x), 0.0F);
+  const Tensor gin = drop.backward(Tensor::ones(Shape{128}));
+  EXPECT_EQ(ops::max_abs_diff(gin, y), 0.0F);
+}
+
 TEST(Dropout, RejectsBadProbability) {
   Rng rng(13);
   EXPECT_THROW(nn::Dropout(1.0F, rng), InvalidArgument);
@@ -314,6 +326,13 @@ TEST(Flatten, CollapsesTrailingDims) {
   EXPECT_EQ(y.shape(), Shape({2, 12}));
   const Tensor g = flat.backward(Tensor(Shape{2, 12}));
   EXPECT_EQ(g.shape(), Shape({2, 3, 4}));
+}
+
+TEST(Flatten, InferKeepsTheBackwardShape) {
+  nn::Flatten flat;
+  (void)flat.forward(Tensor(Shape{2, 3, 4}), true);
+  EXPECT_EQ(flat.infer(Tensor(Shape{5, 6})).shape(), Shape({5, 6}));
+  EXPECT_EQ(flat.backward(Tensor(Shape{2, 12})).shape(), Shape({2, 3, 4}));
 }
 
 TEST(Sequential, ChainsLayersAndShapes) {
