@@ -46,9 +46,6 @@ void SplitConfig::validate(std::size_t num_platforms) const {
   if (schedule == Schedule::kBoundedStaleness) {
     SPLITMED_CHECK(staleness_bound >= 0,
                    "staleness_bound must be >= 0, got " << staleness_bound);
-    SPLITMED_CHECK(sync_l1_every == 0,
-                   "bounded staleness does not cover the L1-sync extension "
-                   "(its sync barrier assumes drained round boundaries)");
   }
   if (membership.enabled) {
     membership.validate(num_platforms);
@@ -160,8 +157,10 @@ SplitTrainer::SplitTrainer(ModelBuilder builder, const data::Dataset& train,
     platforms_[p]->set_minibatch_size(minibatches_[p]);
     examples_per_round_ += minibatches_[p];
   }
-  scheduler_ = std::make_unique<EventScheduler>(network_, *server_,
-                                                platforms_);
+  scheduler_ = std::make_unique<EventScheduler>(
+      network_, *server_, platforms_,
+      faulted ? std::optional<net::RetryPolicy>(config_.recovery)
+              : std::nullopt);
   if (obs::CriticalPathAnalyzer* cp = obs::attribution()) {
     std::vector<std::string> names;
     names.reserve(network_.node_count());
@@ -193,180 +192,9 @@ PlatformNode& SplitTrainer::platform(std::size_t k) {
   return *platforms_[k];
 }
 
-void SplitTrainer::run_platform_step(PlatformNode& platform,
-                                     std::uint64_t step_id) {
-  obs::Span span(obs::trace(), "trainer.step", "trainer");
-  span.arg("platform", static_cast<std::uint64_t>(platform.id()));
-  span.arg("step", step_id);
-  platform.send_activation(network_, step_id);
-  server_->handle(network_, network_.receive(server_->id()));   // activation
-  platform.handle(network_, network_.receive(platform.id()));   // logits
-  server_->handle(network_, network_.receive(server_->id()));   // logit grad
-  platform.handle(network_, network_.receive(platform.id()));   // cut grad
-}
-
-bool SplitTrainer::await_platform_progress(PlatformNode& platform) {
-  const PlatformState entry = platform.state();
-  double timeout = config_.recovery.timeout_sec;
-  for (int attempt = 0; attempt <= config_.recovery.max_retries; ++attempt) {
-    const double deadline = network_.clock().now() + timeout;
-    while (platform.state() == entry) {
-      // Deliver the globally earliest frame (the network's arrival index).
-      // Frames for other platforms are late replies to already-completed or
-      // abandoned steps — their state machines count and ignore them; the
-      // clock passes through their arrivals exactly as it would when that
-      // platform eventually pumped them itself.
-      const auto event = network_.next_event();
-      if (!event) break;  // nothing in flight at all — only a retransmit
-                          // can help
-      if (event->arrival > deadline) break;  // beyond this timeout window
-      const auto env = network_.receive_before(event->node, deadline);
-      // nullopt: the window held only corrupted frames (now discarded and
-      // counted) — re-evaluate the queue.
-      if (!env) continue;
-      scheduler_->dispatch(*env);
-    }
-    if (platform.state() != entry) return true;
-    if (obs::CriticalPathAnalyzer* cp = obs::attribution()) {
-      // Waiting out the rest of the timeout window is pure recovery
-      // overhead, owned by the unresponsive platform.
-      cp->note_timeout_wait(network_.clock().now(), deadline, platform.id());
-    }
-    network_.clock().advance_to(deadline);
-    if (attempt == config_.recovery.max_retries) break;
-    if (obs::TraceRecorder* tr = obs::trace()) {
-      tr->instant("trainer.timeout", "fault",
-                  {obs::arg("platform",
-                            static_cast<std::uint64_t>(platform.id())),
-                   obs::arg("attempt",
-                            static_cast<std::uint64_t>(attempt + 1))});
-    }
-    if (obs::FlightRecorder* fr = obs::flight()) {
-      fr->note(network_.clock().now(),
-               "TIMEOUT platform " + std::to_string(platform.id()) +
-                   " attempt " + std::to_string(attempt + 1) +
-                   " — retransmitting");
-    }
-    platform.resend_last(network_);
-    timeout *= config_.recovery.backoff;
-  }
-  return false;
-}
-
-SplitTrainer::StepOutcome SplitTrainer::run_platform_step_reliable(
-    PlatformNode& platform, std::uint64_t step_id) {
-  obs::Span span(obs::trace(), "trainer.step", "trainer");
-  span.arg("platform", static_cast<std::uint64_t>(platform.id()));
-  span.arg("step", step_id);
-  const std::int64_t before = platform.steps_completed();
-  server_->expect_round(step_id);
-  platform.send_activation(network_, step_id);
-  // Stage 1: reach kAwaitCutGrad (activation delivered, logits back).
-  // Stage 2: reach kIdle (logit grad delivered, cut grad back).
-  // Either stage may instead end at kIdle on a kUpdateReject (membership
-  // admission refused the update and the platform aborted the step).
-  for (int stage = 0; stage < 2; ++stage) {
-    if (!await_platform_progress(platform)) {
-      SPLITMED_LOG(kWarn) << "platform " << platform.id()
-                          << " unreachable in round " << step_id
-                          << " — skipping its step";
-      span.arg("abandoned", true);
-      if (obs::FlightRecorder* fr = obs::flight()) {
-        fr->note(network_.clock().now(),
-                 "ABANDON step " + std::to_string(step_id) + ": platform " +
-                     std::to_string(platform.id()) +
-                     " unreachable, retries exhausted");
-      }
-      platform.abort_step();
-      server_->abort_pending(platform.id());
-      return StepOutcome::kUnreachable;
-    }
-    if (platform.state() == PlatformState::kIdle) break;
-  }
-  if (platform.steps_completed() > before) return StepOutcome::kCompleted;
-  span.arg("rejected", true);
-  return StepOutcome::kRejected;
-}
-
-SplitTrainer::StepOutcome SplitTrainer::run_membership_step(
-    PlatformNode& platform, std::uint64_t step_id) {
-  obs::Span span(obs::trace(), "trainer.step", "trainer");
-  span.arg("platform", static_cast<std::uint64_t>(platform.id()));
-  span.arg("step", step_id);
-  const std::int64_t before = platform.steps_completed();
-  platform.send_activation(network_, step_id);
-  server_->handle(network_, network_.receive(server_->id()));  // activation
-  platform.handle(network_, network_.receive(platform.id()));  // logits|reject
-  if (platform.state() != PlatformState::kIdle) {
-    server_->handle(network_, network_.receive(server_->id()));  // logit grad
-    platform.handle(network_, network_.receive(platform.id()));  // cut|reject
-  }
-  if (platform.steps_completed() > before) return StepOutcome::kCompleted;
-  span.arg("rejected", true);
-  return StepOutcome::kRejected;
-}
-
-void SplitTrainer::drain_network() {
-  while (const auto event = network_.next_event()) {
-    const auto env = network_.receive_before(
-        event->node, std::numeric_limits<double>::infinity());
-    if (!env) continue;  // window held only corrupted frames
-    scheduler_->dispatch(*env);
-  }
-}
-
-bool SplitTrainer::await_join(PlatformNode& platform) {
-  double timeout = config_.recovery.timeout_sec;
-  for (int attempt = 0; attempt <= config_.recovery.max_retries; ++attempt) {
-    const double deadline = network_.clock().now() + timeout;
-    while (platform.awaiting_join()) {
-      const auto event = network_.next_event();
-      if (!event) break;
-      if (event->arrival > deadline) break;
-      const auto env = network_.receive_before(event->node, deadline);
-      if (!env) continue;
-      scheduler_->dispatch(*env);
-    }
-    if (!platform.awaiting_join()) return true;
-    if (obs::CriticalPathAnalyzer* cp = obs::attribution()) {
-      cp->note_timeout_wait(network_.clock().now(), deadline, platform.id());
-    }
-    network_.clock().advance_to(deadline);
-    if (attempt == config_.recovery.max_retries) break;
-    platform.resend_last(network_);
-    timeout *= config_.recovery.backoff;
-  }
-  return false;
-}
-
-bool SplitTrainer::run_rejoin_handshake(std::size_t p, std::int64_t round) {
-  PlatformNode& platform = *platforms_[p];
-  const RejoinMode mode = membership_->rejoin_mode(p);
-  platform.send_join_request(network_, static_cast<std::uint32_t>(p),
-                             static_cast<std::uint64_t>(round), mode);
-  if (!config_.faults.any()) {
-    server_->handle(network_, network_.receive(server_->id()));    // request
-    platform.handle(network_, network_.receive(platform.id()));    // accept
-  } else if (!await_join(platform)) {
-    // Request or accept lost beyond the retry budget: abandon the handshake;
-    // begin_round re-promotes the platform to REJOINING next round.
-    if (obs::FlightRecorder* fr = obs::flight()) {
-      fr->note(network_.clock().now(),
-               "ABANDON join: platform " + std::to_string(platform.id()) +
-                   " unreachable, retries exhausted");
-    }
-    platform.abort_join();
-    return false;
-  }
-  membership_->note_rejoin_completed(p, network_.clock().now());
-  return true;
-}
-
-void SplitTrainer::run_membership_round(std::int64_t round,
-                                        std::vector<std::size_t>& stepped) {
+double SplitTrainer::begin_membership_round(std::int64_t round) {
   const double round_start = network_.clock().now();
   membership_->begin_round(round, round_start);
-  const double deadline = round_start + config_.membership.round_deadline_sec;
 
   // Poison spells are chaos-harness config, reapplied from the plan every
   // round — they need no checkpoint state.
@@ -387,71 +215,92 @@ void SplitTrainer::run_membership_round(std::int64_t round,
       membership_->note_heartbeat_sent(p, network_.clock().now());
     }
   }
-  drain_network();
+  scheduler_->settle();
 
-  // Returned platforms owe a join handshake before they may step again.
+  // Returned platforms owe a join handshake before they may step again. An
+  // abandoned handshake is retried next round (begin_round re-promotes the
+  // platform to REJOINING).
   for (std::size_t p = 0; p < platforms_.size(); ++p) {
-    if (membership_->needs_rejoin(p)) run_rejoin_handshake(p, round);
+    if (membership_->needs_rejoin(p) &&
+        scheduler_->join(p, static_cast<std::uint64_t>(round),
+                         membership_->rejoin_mode(p))) {
+      membership_->note_rejoin_completed(p, network_.clock().now());
+    }
   }
-
-  // Deadline-gated protocol steps, start order rotated by round so a tight
-  // deadline does not starve the same tail of hospitals every round. The
-  // first eligible platform always steps (the liveness floor every other
-  // schedule also guarantees); the deadline gates the rest.
-  const std::size_t n = platforms_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t p = (i + static_cast<std::size_t>(round)) % n;
-    if (!membership_->can_step(p)) continue;
-    if (!stepped.empty() && network_.clock().now() >= deadline) {
-      membership_->note_deadline_miss(p);
-      continue;
-    }
-    StepOutcome outcome;
-    if (config_.faults.any()) {
-      outcome = run_platform_step_reliable(*platforms_[p], ++step_id_);
-    } else {
-      outcome = run_membership_step(*platforms_[p], ++step_id_);
-    }
-    if (outcome == StepOutcome::kCompleted) {
-      stepped.push_back(p);
-      membership_->note_step_completed(p, network_.clock().now());
-    } else if (outcome == StepOutcome::kUnreachable) {
-      ++skipped_steps_;
-    }
-    // kRejected: the platform aborted on the server's refusal — the strike
-    // is on the ledger and the drawn minibatch rides in examples_lost.
-  }
-  // Completion order is the rotated start order; report ascending so
-  // downstream accounting is independent of the rotation.
-  std::sort(stepped.begin(), stepped.end());
-  last_round_void_ =
-      membership_->end_round(round,
-                             static_cast<std::int64_t>(stepped.size()));
+  return round_start + config_.membership.round_deadline_sec;
 }
 
-void SplitTrainer::run_event_round(
-    const std::vector<std::size_t>& participants, std::int64_t round,
-    bool drain_fully, std::vector<std::size_t>& stepped) {
-  // Idle participants begin a step; a participant still mid-step (a
-  // straggler under bounded staleness) keeps its in-flight step — it will
-  // fold in when its frames arrive, never twice in one round.
-  for (const std::size_t p : participants) {
-    if (!scheduler_->busy(p)) {
-      scheduler_->begin_step(p, ++step_id_, round);
+void SplitTrainer::run_round(std::int64_t round,
+                             const std::vector<std::size_t>& participants,
+                             std::vector<std::size_t>& stepped) {
+  double deadline = std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> order = participants;
+  if (membership_) {
+    deadline = begin_membership_round(round);
+    // Start order rotated by round so a tight deadline does not starve the
+    // same tail of hospitals every round.
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = (i + static_cast<std::size_t>(round)) % order.size();
     }
   }
+  std::vector<EventScheduler::StepEnd> ended;
+  const auto fold = [&] {
+    for (const auto& end : ended) {
+      if (end.outcome == EventScheduler::Outcome::kCompleted) {
+        stepped.push_back(end.platform);
+        if (membership_) membership_->note_step_completed(end.platform, end.at);
+      } else if (end.outcome == EventScheduler::Outcome::kUnreachable) {
+        ++skipped_steps_;
+      }
+      // kRejected: the platform aborted on the server's refusal — the strike
+      // is on the ledger and the drawn minibatch rides in examples_lost.
+    }
+    ended.clear();
+  };
+  // The paper's Fig. 3 workflow is the window-1 schedule: platform k+1
+  // starts only after k's step ended.
+  const std::size_t window = config_.schedule == Schedule::kSequential
+                                 ? 1
+                                 : std::numeric_limits<std::size_t>::max();
+  for (const std::size_t p : order) {
+    scheduler_->wait_for_window(window, ended);
+    fold();
+    // A participant still mid-step (a straggler under bounded staleness)
+    // keeps its in-flight step — it folds in when its frames arrive, never
+    // twice in one round.
+    if (scheduler_->busy(p)) continue;
+    if (membership_) {
+      if (!membership_->can_step(p)) continue;
+      // The first eligible platform always steps (the liveness floor every
+      // schedule guarantees); the deadline gates the rest.
+      if (!stepped.empty() && network_.clock().now() >= deadline) {
+        membership_->note_deadline_miss(p);
+        continue;
+      }
+    }
+    scheduler_->begin_step(p, ++step_id_, round);
+  }
   // The round boundary waits for every step older than the staleness bound
-  // (all of them when draining fully: overlapped rounds, checkpoint
-  // boundaries, the final round) and for at least one completion.
-  const std::int64_t horizon =
-      drain_fully ? round : round - config_.staleness_bound;
-  std::vector<std::size_t> completed;
-  scheduler_->drain(horizon, completed);
-  // Completion order is arrival order; report in ascending platform index
-  // so downstream accounting (loss averaging, example sums) is independent
-  // of WAN timing.
-  std::sort(completed.begin(), completed.end());
-  stepped = std::move(completed);
+  // and for at least one completion. Every schedule but bounded staleness
+  // drains fully, and so do checkpoint boundaries, L1-sync rounds and the
+  // final round (quiescence — every straggler folds in before state is
+  // captured, synced, or the report closes).
+  const bool drain_fully =
+      config_.schedule != Schedule::kBoundedStaleness ||
+      round == config_.rounds ||
+      (config_.checkpoint_every > 0 && round % config_.checkpoint_every == 0) ||
+      (config_.sync_l1_every > 0 && round % config_.sync_l1_every == 0);
+  scheduler_->drain(drain_fully ? round : round - config_.staleness_bound,
+                    ended);
+  fold();
+  // Completion order is arrival (or rotated start) order; report in
+  // ascending platform index so downstream accounting (loss averaging,
+  // example sums) is independent of WAN timing and rotation.
+  std::sort(stepped.begin(), stepped.end());
+  if (membership_) {
+    last_round_void_ = membership_->end_round(
+        round, static_cast<std::int64_t>(stepped.size()));
+  }
 }
 
 std::vector<std::size_t> SplitTrainer::sample_participants(
@@ -587,36 +436,7 @@ metrics::TrainReport SplitTrainer::run() {
     // unreachable); only platforms that actually stepped count toward the
     // examples processed and the reported loss.
     std::vector<std::size_t> stepped;
-    if (membership_) {
-      run_membership_round(round, stepped);
-    } else if (config_.schedule != Schedule::kSequential) {
-      // Event-driven schedules: checkpoint boundaries and the final round
-      // force a full drain barrier (quiescence — every straggler folds in
-      // before state is captured or the report closes).
-      const bool drain_fully =
-          config_.schedule == Schedule::kOverlapped ||
-          round == config_.rounds ||
-          (config_.checkpoint_every > 0 &&
-           round % config_.checkpoint_every == 0) ||
-          (config_.sync_l1_every > 0 && round % config_.sync_l1_every == 0);
-      run_event_round(participants, round, drain_fully, stepped);
-    } else if (!config_.faults.any()) {
-      for (const std::size_t p : participants) {
-        run_platform_step(*platforms_[p], ++step_id_);
-      }
-      stepped = participants;
-    } else {
-      for (const std::size_t p : participants) {
-        if (run_platform_step_reliable(*platforms_[p], ++step_id_) ==
-            StepOutcome::kCompleted) {
-          stepped.push_back(p);
-        } else {
-          // Without membership the server never rejects, so every
-          // non-completed step was an unreachable hospital.
-          ++skipped_steps_;
-        }
-      }
-    }
+    run_round(round, participants, stepped);
     for (const std::size_t p : stepped) {
       examples_processed_ += minibatches_[p];
     }

@@ -1,11 +1,16 @@
 // SplitTrainer — orchestrates the paper's training workflow (Fig. 3) over
 // the simulated network.
 //
-// One round = every platform performs one 4-message protocol step against
-// the server, sequentially (the server's L2..Lk state is updated after each
-// platform's minibatch — round-robin split learning). Platforms keep their
-// own L1 replicas, initialized identically (the paper's postulate) and never
-// re-synchronized unless the sync_l1_every extension is enabled.
+// One round = every participating platform performs one 4-message protocol
+// step against the server. In the paper's sequential workflow the steps run
+// one after another (the server's L2..Lk state is updated after each
+// platform's minibatch — round-robin split learning); the overlapped and
+// bounded-staleness extensions keep many steps in flight. Either way the
+// trainer only decides WHO steps (participation, membership, the admission
+// window); the EventScheduler is the single driver that moves every frame.
+// Platforms keep their own L1 replicas, initialized identically (the
+// paper's postulate) and never re-synchronized unless the sync_l1_every
+// extension is enabled.
 #pragma once
 
 #include <functional>
@@ -45,7 +50,8 @@ enum class Schedule {
   /// waits for steps that started more than `staleness_bound` rounds ago,
   /// so a straggler hospital folds its step in late instead of stalling
   /// everyone. Deterministic — completion order is the network's
-  /// (arrival time, send sequence) order. Requires sync_l1_every == 0.
+  /// (arrival time, send sequence) order. L1-sync rounds (like checkpoint
+  /// boundaries and the final round) drain fully before the sync barrier.
   kBoundedStaleness,
 };
 
@@ -192,50 +198,18 @@ class SplitTrainer {
   [[nodiscard]] std::uint64_t next_round() const { return next_round_; }
 
  private:
-  /// How one platform's protocol step ended.
-  enum class StepOutcome {
-    kCompleted,    ///< optimizer stepped on both sides
-    kRejected,     ///< the server refused the update (kUpdateReject)
-    kUnreachable,  ///< retransmissions exhausted, step abandoned
-  };
-
-  /// One full 4-message protocol exchange for one platform.
-  void run_platform_step(PlatformNode& platform, std::uint64_t step_id);
-  /// Fault-tolerant variant: pumps the WAN with per-stage timeouts and
-  /// bounded retransmissions.
-  StepOutcome run_platform_step_reliable(PlatformNode& platform,
-                                         std::uint64_t step_id);
-  /// Fault-free membership variant of run_platform_step: the server may
-  /// answer either protocol stage with kUpdateReject, which ends the step.
-  StepOutcome run_membership_step(PlatformNode& platform,
-                                  std::uint64_t step_id);
-  /// One membership round: crash/poison script, heartbeats, rejoin
-  /// handshakes, then deadline-gated protocol steps in rotated order.
-  /// `stepped` receives the completed platforms in ascending index order.
-  void run_membership_round(std::int64_t round,
-                            std::vector<std::size_t>& stepped);
-  /// Runs the join handshake for platform p; false = retransmissions
-  /// exhausted (the handshake is abandoned and retried next round).
-  bool run_rejoin_handshake(std::size_t p, std::int64_t round);
-  /// Delivers frames until `platform`'s join handshake completes,
-  /// retransmitting on timeout (mirrors await_platform_progress).
-  bool await_join(PlatformNode& platform);
-  /// Delivers every frame currently in flight (heartbeat batches; under
-  /// fault injection also strays, which the state machines absorb).
-  void drain_network();
-  /// Delivers frames until `platform` leaves its current protocol state,
-  /// retransmitting its last message on timeout (exponential backoff over
-  /// simulated time). False = retries exhausted without progress.
-  bool await_platform_progress(PlatformNode& platform);
-  /// One event-driven round (overlapped / bounded staleness): idle
-  /// participants begin steps, then the scheduler pumps the global arrival
-  /// queue to the round's staleness horizon (`drain_fully` forces a full
-  /// barrier — overlapped rounds, checkpoint boundaries, the final round).
-  /// `stepped` receives the platforms whose steps completed this round, in
-  /// ascending index order.
-  void run_event_round(const std::vector<std::size_t>& participants,
-                       std::int64_t round, bool drain_fully,
-                       std::vector<std::size_t>& stepped);
+  /// One round, every schedule: the membership prelude (poison spells,
+  /// heartbeats, rejoin handshakes) when membership is on, then admission of
+  /// this round's steps through the scheduler's window (1 for the sequential
+  /// schedule, unbounded otherwise; under membership in rotated start order,
+  /// gated by can_step and the round deadline), then a drain to the round's
+  /// staleness horizon. `stepped` receives the platforms whose steps
+  /// completed this round, in ascending index order.
+  void run_round(std::int64_t round,
+                 const std::vector<std::size_t>& participants,
+                 std::vector<std::size_t>& stepped);
+  /// Membership prelude of `round`; returns the round's step deadline.
+  double begin_membership_round(std::int64_t round);
   /// Samples this round's participants (>= 1, deterministic in the seed).
   std::vector<std::size_t> sample_participants(std::int64_t round);
   /// Mean last_loss over this round's participants; once every platform has
@@ -251,9 +225,9 @@ class SplitTrainer {
   net::StarTopology topology_;
   std::unique_ptr<CentralServer> server_;
   std::vector<std::unique_ptr<PlatformNode>> platforms_;
-  /// Event-driven round engine (overlapped / bounded-staleness schedules;
-  /// also routes frames for the reliable sequential path). Built after the
-  /// node set is final.
+  /// The one round driver: every protocol, heartbeat and join frame of a
+  /// round moves through it, in every schedule, with retry timers under
+  /// fault injection. Built after the node set is final.
   std::unique_ptr<EventScheduler> scheduler_;
   /// Keeps each replica's Rng alive (Dropout layers hold pointers into it).
   std::vector<std::unique_ptr<Rng>> replica_rngs_;
@@ -266,7 +240,7 @@ class SplitTrainer {
   /// Membership authority (null unless config.membership.enabled); the
   /// server holds a non-owning pointer for admission and lease renewal.
   std::unique_ptr<MembershipService> membership_;
-  /// Set by run_membership_round when the round closed below min_quorum —
+  /// Set by run_round when a membership round closed below min_quorum —
   /// the curve point carries the previous loss instead of fabricating one.
   bool last_round_void_ = false;
   /// Run-progress state, members (not run() locals) so a checkpoint can
