@@ -17,7 +17,7 @@
 #include "src/nn/conv2d.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/sequential.hpp"
-#include "src/serial/tensor_codec.hpp"
+#include "src/serial/codec.hpp"
 #include "src/tensor/gemm.hpp"
 #include "src/tensor/im2col.hpp"
 #include "src/tensor/ops.hpp"

@@ -6,7 +6,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/serial/tensor_codec.hpp"
+#include "src/serial/codec.hpp"
 
 namespace splitmed::nn {
 namespace {

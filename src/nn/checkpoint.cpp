@@ -5,7 +5,7 @@
 
 #include "src/common/error.hpp"
 #include "src/serial/section_file.hpp"
-#include "src/serial/tensor_codec.hpp"
+#include "src/serial/codec.hpp"
 
 namespace splitmed {
 

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "src/common/error.hpp"
-#include "src/serial/tensor_codec.hpp"
+#include "src/serial/codec.hpp"
 
 namespace splitmed::optim {
 

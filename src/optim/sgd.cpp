@@ -1,7 +1,7 @@
 #include "src/optim/sgd.hpp"
 
 #include "src/common/error.hpp"
-#include "src/serial/tensor_codec.hpp"
+#include "src/serial/codec.hpp"
 
 namespace splitmed::optim {
 

@@ -80,7 +80,7 @@ void encode_body_i8(const Tensor& t, BufferWriter& w) {
     // producing garbage wire bytes the decoder cannot detect.
     if (!std::isfinite(v)) {
       throw SerializationError(
-          "encode_tensor_i8: non-finite tensor element cannot be quantized");
+          "i8 encode: non-finite tensor element cannot be quantized");
     }
     max_abs = std::max(max_abs, std::abs(v));
   }
@@ -194,6 +194,19 @@ TaggedTensor decode_tensor_tagged(BufferReader& r) {
   }
   throw SerializationError("unknown tensor codec tag " +
                            std::to_string(static_cast<unsigned>(codec)));
+}
+
+void encode_tensor(const Tensor& t, BufferWriter& w) {
+  encode_tensor_tagged(t, WireCodec::kF32, w);
+}
+
+Tensor decode_tensor(BufferReader& r) {
+  TaggedTensor tagged = decode_tensor_tagged(r);
+  if (tagged.codec != WireCodec::kF32) {
+    throw SerializationError(std::string("expected f32 tensor frame, got ") +
+                             wire_codec_name(tagged.codec));
+  }
+  return std::move(tagged.tensor);
 }
 
 std::uint64_t encoded_tensor_bytes(const Shape& s, WireCodec codec) {

@@ -44,6 +44,14 @@ struct TaggedTensor {
 /// (unknown tag, hostile header, truncated body, invalid i8 scale).
 TaggedTensor decode_tensor_tagged(BufferReader& r);
 
+/// The state streams (optimizer buffers, BatchNorm running stats,
+/// checkpoints) are always full precision: encode_tensor appends a
+/// kF32-tagged frame — bitwise the untagged legacy format — and
+/// decode_tensor reads one, throwing SerializationError on malformed input
+/// or on a frame tagged with any codec other than kF32.
+void encode_tensor(const Tensor& t, BufferWriter& w);
+Tensor decode_tensor(BufferReader& r);
+
 /// Exact encoded size of shape `s` under `codec`:
 ///   kF32: 4 + 8*rank + 4*numel
 ///   kF16: 4 + 8*rank + 2*numel

@@ -14,7 +14,7 @@
 #include "src/models/factory.hpp"
 #include "src/nn/checkpoint.hpp"
 #include "src/privacy/distance_correlation.hpp"
-#include "src/serial/quantize.hpp"
+#include "src/serial/codec.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace splitmed {
@@ -28,14 +28,14 @@ TEST_P(QuantizeRoundTrip, ErrorBoundedByHalfStep) {
   Rng rng(1);
   const Tensor t = Tensor::normal(GetParam(), rng, 0.0F, 2.0F);
   BufferWriter w;
-  encode_tensor_i8(t, w);
-  EXPECT_EQ(w.size(), encoded_tensor_i8_bytes(t.shape()));
+  encode_tensor_tagged(t, WireCodec::kI8, w);
+  EXPECT_EQ(w.size(), encoded_tensor_bytes(t.shape(), WireCodec::kI8));
   BufferReader r({w.bytes().data(), w.bytes().size()});
-  const Tensor back = decode_tensor_i8(r);
+  const Tensor back = decode_tensor_tagged(r).tensor;
   EXPECT_EQ(back.shape(), t.shape());
   float max_abs = 0.0F;
   for (const float v : t.data()) max_abs = std::max(max_abs, std::abs(v));
-  const float half_step = 0.5F * quantization_step(max_abs) + 1e-6F;
+  const float half_step = 0.5F * max_abs / 127.0F + 1e-6F;
   if (t.numel() > 0) {
     EXPECT_LE(ops::max_abs_diff(t, back), half_step);
   }
@@ -48,9 +48,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, QuantizeRoundTrip,
 TEST(Quantize, AllZerosRoundTripExactly) {
   const Tensor t(Shape{8});
   BufferWriter w;
-  encode_tensor_i8(t, w);
+  encode_tensor_tagged(t, WireCodec::kI8, w);
   BufferReader r({w.bytes().data(), w.bytes().size()});
-  const Tensor back = decode_tensor_i8(r);
+  const Tensor back = decode_tensor_tagged(r).tensor;
   EXPECT_EQ(ops::max_abs_diff(t, back), 0.0F);
 }
 
@@ -58,19 +58,22 @@ TEST(Quantize, RejectsNaNInput) {
   Tensor t(Shape{3});
   t.data()[1] = std::numeric_limits<float>::quiet_NaN();
   BufferWriter w;
-  EXPECT_THROW(encode_tensor_i8(t, w), SerializationError);
+  EXPECT_THROW(encode_tensor_tagged(t, WireCodec::kI8, w),
+               SerializationError);
 }
 
 TEST(Quantize, RejectsInfInput) {
   Tensor pos(Shape{3});
   pos.data()[2] = std::numeric_limits<float>::infinity();
   BufferWriter w;
-  EXPECT_THROW(encode_tensor_i8(pos, w), SerializationError);
+  EXPECT_THROW(encode_tensor_tagged(pos, WireCodec::kI8, w),
+               SerializationError);
 
   Tensor neg(Shape{3});
   neg.data()[0] = -std::numeric_limits<float>::infinity();
   BufferWriter w2;
-  EXPECT_THROW(encode_tensor_i8(neg, w2), SerializationError);
+  EXPECT_THROW(encode_tensor_tagged(neg, WireCodec::kI8, w2),
+               SerializationError);
 }
 
 TEST(Quantize, TiesRoundHalfAwayFromZero) {
@@ -82,9 +85,9 @@ TEST(Quantize, TiesRoundHalfAwayFromZero) {
   const float vals[] = {127.0F, 2.5F, -2.5F, 0.5F, -0.5F};
   std::copy(std::begin(vals), std::end(vals), t.data().begin());
   BufferWriter w;
-  encode_tensor_i8(t, w);
+  encode_tensor_tagged(t, WireCodec::kI8, w);
   BufferReader r({w.bytes().data(), w.bytes().size()});
-  const Tensor back = decode_tensor_i8(r);
+  const Tensor back = decode_tensor_tagged(r).tensor;
   const float expected[] = {127.0F, 3.0F, -3.0F, 1.0F, -1.0F};
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(back.data()[i], expected[i]) << "element " << i;
@@ -94,23 +97,23 @@ TEST(Quantize, TiesRoundHalfAwayFromZero) {
 TEST(Quantize, FourTimesSmallerThanF32) {
   const Shape big{1000};
   // 4 + 8 + 4 + 1000 vs 4 + 8 + 4000.
-  EXPECT_LT(encoded_tensor_i8_bytes(big) * 3, 4U + 8 + 4000);
+  EXPECT_LT(encoded_tensor_bytes(big, WireCodec::kI8) * 3, 4U + 8 + 4000);
 }
 
 TEST(Quantize, RejectsHostileHeaders) {
   BufferWriter w;
   w.write_u32(99);  // absurd rank
   BufferReader r({w.bytes().data(), w.bytes().size()});
-  EXPECT_THROW(decode_tensor_i8(r), SerializationError);
+  EXPECT_THROW((void)decode_tensor_tagged(r), SerializationError);
 }
 
 TEST(Quantize, RejectsTruncatedPayload) {
   BufferWriter w;
-  w.write_u32(1);
+  w.write_u32((static_cast<std::uint32_t>(WireCodec::kI8) << 24) | 1U);
   w.write_i64(100);
   w.write_f32(0.1F);
   BufferReader r({w.bytes().data(), w.bytes().size()});
-  EXPECT_THROW(decode_tensor_i8(r), SerializationError);
+  EXPECT_THROW((void)decode_tensor_tagged(r), SerializationError);
 }
 
 // -------------------------------------------------------------- checkpoint

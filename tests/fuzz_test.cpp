@@ -28,9 +28,7 @@
 #include "src/optim/sgd.hpp"
 #include "src/serial/codec.hpp"
 #include "src/serial/crc32.hpp"
-#include "src/serial/quantize.hpp"
 #include "src/serial/section_file.hpp"
-#include "src/serial/tensor_codec.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace splitmed {
@@ -72,7 +70,7 @@ TEST(CodecFuzz, CorruptedI8PayloadsNeverCrash) {
   Rng rng(2);
   const Tensor t = Tensor::normal(Shape{4, 7}, rng);
   BufferWriter w;
-  encode_tensor_i8(t, w);
+  encode_tensor_tagged(t, WireCodec::kI8, w);
   const auto original = w.bytes();
   for (int trial = 0; trial < 500; ++trial) {
     auto bytes = original;
@@ -80,7 +78,7 @@ TEST(CodecFuzz, CorruptedI8PayloadsNeverCrash) {
         static_cast<std::uint8_t>(1 + rng.uniform_u64(255));
     try {
       BufferReader r({bytes.data(), bytes.size()});
-      (void)decode_tensor_i8(r);
+      (void)decode_tensor_tagged(r);
     } catch (const SerializationError&) {
     } catch (const InvalidArgument&) {
     }
@@ -113,7 +111,7 @@ TEST(CodecFuzz, EveryTruncatedPrefixThrows) {
   for (const bool quantized : {false, true}) {
     BufferWriter w;
     if (quantized) {
-      encode_tensor_i8(t, w);
+      encode_tensor_tagged(t, WireCodec::kI8, w);
     } else {
       encode_tensor(t, w);
     }
@@ -121,7 +119,7 @@ TEST(CodecFuzz, EveryTruncatedPrefixThrows) {
     for (std::size_t len = 0; len < full.size(); ++len) {
       BufferReader r({full.data(), len});
       if (quantized) {
-        EXPECT_THROW((void)decode_tensor_i8(r), SerializationError)
+        EXPECT_THROW((void)decode_tensor_tagged(r), SerializationError)
             << "i8 prefix of " << len << " bytes";
       } else {
         EXPECT_THROW((void)decode_tensor(r), SerializationError)
@@ -140,7 +138,7 @@ TEST(CodecFuzz, LyingLengthFieldsRejectedBeforeAllocation) {
   for (const bool quantized : {false, true}) {
     BufferWriter w;
     if (quantized) {
-      encode_tensor_i8(t, w);
+      encode_tensor_tagged(t, WireCodec::kI8, w);
     } else {
       encode_tensor(t, w);
     }
@@ -148,7 +146,7 @@ TEST(CodecFuzz, LyingLengthFieldsRejectedBeforeAllocation) {
     const auto decode = [&](const std::vector<std::uint8_t>& bytes) {
       BufferReader r({bytes.data(), bytes.size()});
       if (quantized) {
-        (void)decode_tensor_i8(r);
+        (void)decode_tensor_tagged(r);
       } else {
         (void)decode_tensor(r);
       }
@@ -206,9 +204,8 @@ TEST(CodecFuzz, UnknownCodecTagsAlwaysRejected) {
 }
 
 TEST(CodecFuzz, EveryTruncatedTaggedPrefixThrows) {
-  // The f32/i8 truncation sweep above goes through the typed wrappers; this
-  // one covers the tagged decoder itself for all three codecs, at every
-  // byte boundary.
+  // The f32/i8 truncation sweep above covers two codecs; this one covers
+  // the tagged decoder for all three, at every byte boundary.
   Rng rng(13);
   const Tensor t = Tensor::normal(Shape{3, 5, 2}, rng);
   for (const WireCodec codec :

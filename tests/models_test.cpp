@@ -8,8 +8,8 @@
 #include "src/models/model_stats.hpp"
 #include "src/models/resnet.hpp"
 #include "src/models/vgg.hpp"
+#include "src/serial/codec.hpp"
 #include "src/serial/message.hpp"
-#include "src/serial/tensor_codec.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace splitmed {
@@ -154,13 +154,14 @@ TEST(ModelStats, MessageBytesMatchCodec) {
   for (const auto d : stats.cut_activation_chw.dims()) dims.push_back(d);
   EXPECT_EQ(stats.activation_message_bytes(batch),
             Envelope::kEnvelopeHeaderBytes +
-                encoded_tensor_bytes(Shape(dims)));
+                encoded_tensor_bytes(Shape(dims), WireCodec::kF32));
   EXPECT_EQ(stats.logits_message_bytes(batch),
             Envelope::kEnvelopeHeaderBytes +
-                encoded_tensor_bytes(Shape{batch, 10}));
+                encoded_tensor_bytes(Shape{batch, 10}, WireCodec::kF32));
   EXPECT_EQ(stats.parameter_message_bytes(),
             Envelope::kEnvelopeHeaderBytes +
-                encoded_tensor_bytes(Shape{stats.total_params}));
+                encoded_tensor_bytes(Shape{stats.total_params},
+                                     WireCodec::kF32));
 }
 
 TEST(ModelStats, SplitStepSumsFourMessagesPerPlatform) {

@@ -4,8 +4,8 @@
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 #include "src/serial/buffer.hpp"
+#include "src/serial/codec.hpp"
 #include "src/serial/message.hpp"
-#include "src/serial/tensor_codec.hpp"
 #include "src/tensor/ops.hpp"
 
 namespace splitmed {
@@ -64,7 +64,7 @@ TEST(TensorCodec, RoundTripPreservesShapeAndData) {
     const Tensor t = Tensor::normal(shape, rng);
     BufferWriter w;
     encode_tensor(t, w);
-    EXPECT_EQ(w.size(), encoded_tensor_bytes(shape));
+    EXPECT_EQ(w.size(), encoded_tensor_bytes(shape, WireCodec::kF32));
     BufferReader r({w.bytes().data(), w.bytes().size()});
     const Tensor back = decode_tensor(r);
     EXPECT_EQ(back.shape(), t.shape());
@@ -108,9 +108,11 @@ TEST(Envelope, WireBytesIncludeHeader) {
 }
 
 TEST(EncodedBytes, MatchesFormula) {
-  EXPECT_EQ(encoded_tensor_bytes(Shape{}), 4U + 4);       // rank + 1 scalar
-  EXPECT_EQ(encoded_tensor_bytes(Shape{3}), 4U + 8 + 12); // rank+dim+3 floats
-  EXPECT_EQ(encoded_tensor_bytes(Shape{2, 2}), 4U + 16 + 16);
+  // rank word + 1 scalar; rank word + dim + 3 floats; rank word + 2 dims +
+  // 4 floats.
+  EXPECT_EQ(encoded_tensor_bytes(Shape{}, WireCodec::kF32), 4U + 4);
+  EXPECT_EQ(encoded_tensor_bytes(Shape{3}, WireCodec::kF32), 4U + 8 + 12);
+  EXPECT_EQ(encoded_tensor_bytes(Shape{2, 2}, WireCodec::kF32), 4U + 16 + 16);
 }
 
 }  // namespace
