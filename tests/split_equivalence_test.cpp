@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "src/common/error.hpp"
 #include "src/common/thread_pool.hpp"
@@ -14,6 +16,8 @@
 #include "src/models/factory.hpp"
 #include "src/models/model_stats.hpp"
 #include "src/nn/loss.hpp"
+#include "src/obs/critical_path.hpp"
+#include "src/obs/obs.hpp"
 #include "src/optim/sgd.hpp"
 #include "src/tensor/ops.hpp"
 
@@ -305,6 +309,131 @@ TEST(BoundedStaleness, StragglersFoldInWithoutStallingTheRound) {
   const auto bounded = run_with(core::Schedule::kBoundedStaleness);
   EXPECT_LE(bounded.total_sim_seconds, overlapped.total_sim_seconds);
   EXPECT_GT(bounded.final_accuracy, 0.0);
+}
+
+// --- bounded staleness x L1 sync ----------------------------------------------
+// Every sync_l1 round drains fully before the sync barrier, so the two
+// features compose: the barrier only ever sees a quiescent network.
+
+core::SplitConfig staleness_sync_config(core::Schedule schedule,
+                                        std::int64_t bound, int threads) {
+  core::SplitConfig cfg;
+  cfg.total_batch = 12;
+  cfg.rounds = 9;
+  cfg.eval_every = 3;
+  cfg.schedule = schedule;
+  cfg.staleness_bound = bound;
+  cfg.sync_l1_every = 3;
+  cfg.threads = threads;
+  return cfg;
+}
+
+/// Frames in flight at the end of every trainer.sync_l1 span, replayed from
+/// the trace's flow events ('s' = put in flight, 'f' = delivered) in
+/// recording order. The sync's own frames are balanced inside its span, so
+/// a zero here means the network was quiescent when the barrier began.
+std::vector<std::int64_t> in_flight_at_each_sync() {
+  std::ostringstream os;
+  obs::trace()->write_jsonl(os);
+  std::istringstream lines(os.str());
+  std::vector<std::int64_t> out;
+  std::int64_t in_flight = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("{\"ph\":\"s\"", 0) == 0) {
+      ++in_flight;
+    } else if (line.rfind("{\"ph\":\"f\"", 0) == 0) {
+      --in_flight;
+    } else if (line.find("\"name\":\"trainer.sync_l1\"") !=
+               std::string::npos) {
+      out.push_back(in_flight);
+    }
+  }
+  return out;
+}
+
+struct SyncRun {
+  metrics::TrainReport report;
+  std::vector<std::int64_t> in_flight_at_sync;
+  std::vector<obs::CriticalPathAnalyzer::RoundRecord> attribution;
+};
+
+SyncRun run_staleness_sync(const core::SplitConfig& base, bool observe) {
+  const auto train = make_dataset(48, 4, 8);
+  const auto test = make_dataset(16, 4, 8);
+  Rng prng(13);
+  const auto partition = data::partition_iid(train.size(), 4, prng);
+  core::SplitConfig cfg = base;
+  cfg.obs.enabled = observe;
+  core::SplitTrainer trainer(mlp_builder(), train, partition, test, cfg);
+  SyncRun out;
+  out.report = trainer.run();
+  if (observe) {
+    // The ObsSession is trainer-owned: snapshot before destruction.
+    out.in_flight_at_sync = in_flight_at_each_sync();
+    out.attribution = obs::attribution()->records();
+  }
+  return out;
+}
+
+void expect_bitwise_equal(const metrics::TrainReport& a,
+                          const metrics::TrainReport& b) {
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  EXPECT_EQ(a.total_sim_seconds, b.total_sim_seconds);
+  EXPECT_EQ(a.final_accuracy, b.final_accuracy);
+  ASSERT_EQ(a.curve.size(), b.curve.size());
+  for (std::size_t j = 0; j < a.curve.size(); ++j) {
+    EXPECT_EQ(a.curve[j].train_loss, b.curve[j].train_loss) << "point " << j;
+    EXPECT_EQ(a.curve[j].test_accuracy, b.curve[j].test_accuracy);
+    EXPECT_EQ(a.curve[j].cumulative_bytes, b.curve[j].cumulative_bytes);
+    EXPECT_EQ(a.curve[j].sim_seconds, b.curve[j].sim_seconds);
+  }
+}
+
+TEST(BoundedStalenessSync, BoundZeroEqualsOverlapped) {
+  // Bound 0 waits for every step of the round: the overlapped barrier.
+  const auto overlapped = run_staleness_sync(
+      staleness_sync_config(core::Schedule::kOverlapped, 1, 1), false);
+  const auto bound_zero = run_staleness_sync(
+      staleness_sync_config(core::Schedule::kBoundedStaleness, 0, 1), false);
+  expect_bitwise_equal(overlapped.report, bound_zero.report);
+}
+
+TEST(BoundedStalenessSync, ThreadInvariantAndQuiescentAtEverySync) {
+  const auto serial = run_staleness_sync(
+      staleness_sync_config(core::Schedule::kBoundedStaleness, 2, 1), true);
+  const auto pooled = run_staleness_sync(
+      staleness_sync_config(core::Schedule::kBoundedStaleness, 2, 4), true);
+  expect_bitwise_equal(serial.report, pooled.report);
+  EXPECT_EQ(serial.in_flight_at_sync, std::vector<std::int64_t>(3, 0));
+  EXPECT_EQ(pooled.in_flight_at_sync, std::vector<std::int64_t>(3, 0));
+  // Staleness was actually exercised: stragglers folded in late instead of
+  // stalling their rounds, so the run beats the overlapped barrier.
+  const auto overlapped = run_staleness_sync(
+      staleness_sync_config(core::Schedule::kOverlapped, 1, 1), false);
+  EXPECT_LT(serial.report.total_sim_seconds,
+            overlapped.report.total_sim_seconds);
+}
+
+TEST(BoundedStalenessSync, AttributionSumsToDurationAndIsThreadInvariant) {
+  const auto serial = run_staleness_sync(
+      staleness_sync_config(core::Schedule::kBoundedStaleness, 2, 1), true);
+  const auto pooled = run_staleness_sync(
+      staleness_sync_config(core::Schedule::kBoundedStaleness, 2, 4), true);
+  ASSERT_EQ(serial.attribution.size(), 9U);
+  for (const auto& r : serial.attribution) {
+    double sum = 0.0;
+    for (const double s : r.segments) sum += s;
+    EXPECT_NEAR(sum, r.duration(), 1e-6) << "round " << r.round;
+    EXPECT_GE(r.segments[obs::CriticalPathAnalyzer::kDeadlineSlack], 0.0);
+  }
+  ASSERT_EQ(pooled.attribution.size(), serial.attribution.size());
+  for (std::size_t i = 0; i < serial.attribution.size(); ++i) {
+    EXPECT_EQ(serial.attribution[i].segments, pooled.attribution[i].segments);
+    EXPECT_EQ(serial.attribution[i].straggler_node,
+              pooled.attribution[i].straggler_node);
+    EXPECT_EQ(serial.attribution[i].straggler_seconds,
+              pooled.attribution[i].straggler_seconds);
+  }
 }
 
 TEST(SplitEquivalence, PerKindTrafficIsSymmetric) {
