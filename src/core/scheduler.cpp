@@ -109,11 +109,6 @@ void EventScheduler::pump(std::vector<StepEnd>& ended) {
   }
 }
 
-void EventScheduler::wait_for_window(std::size_t window,
-                                     std::vector<StepEnd>& ended) {
-  while (steps_in_flight_ >= window) pump(ended);
-}
-
 void EventScheduler::drain(std::int64_t horizon,
                            std::vector<StepEnd>& ended) {
   const std::size_t entry_count = ended.size();

@@ -82,9 +82,6 @@ class EventScheduler {
   /// frame in flight or an armed timer.
   void pump(std::vector<StepEnd>& ended);
 
-  /// Pumps until fewer than `window` steps are in flight.
-  void wait_for_window(std::size_t window, std::vector<StepEnd>& ended);
-
   /// Pumps until every step with start_round <= `horizon` has ended AND at
   /// least one step ended during this call (liveness: every round folds in
   /// work, however stale) — or nothing is left in flight. With horizon >=

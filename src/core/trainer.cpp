@@ -263,7 +263,7 @@ void SplitTrainer::run_round(std::int64_t round,
                                  ? 1
                                  : std::numeric_limits<std::size_t>::max();
   for (const std::size_t p : order) {
-    scheduler_->wait_for_window(window, ended);
+    while (scheduler_->steps_in_flight() >= window) scheduler_->pump(ended);
     fold();
     // A participant still mid-step (a straggler under bounded staleness)
     // keeps its in-flight step — it folds in when its frames arrive, never
