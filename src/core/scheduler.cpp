@@ -181,8 +181,9 @@ void EventScheduler::fire_timeout(std::size_t p, std::vector<StepEnd>& ended) {
   }
   network_.clock().advance_to(timer.deadline);
   if (timer.attempt == recovery_->max_retries) {
-    const std::string what =
-        task.join ? std::string("join") : "step " + std::to_string(task.step_id);
+    const std::string what = task.join
+                                 ? std::string("join")
+                                 : "step " + std::to_string(task.step_id);
     if (obs::FlightRecorder* fr = obs::flight()) {
       fr->note(network_.clock().now(),
                "ABANDON " + what + ": platform " + std::to_string(node.id()) +
@@ -203,9 +204,10 @@ void EventScheduler::fire_timeout(std::size_t p, std::vector<StepEnd>& ended) {
   }
   ++timer.attempt;
   if (obs::TraceRecorder* tr = obs::trace()) {
-    tr->instant("trainer.timeout", "fault",
-                {obs::arg("platform", static_cast<std::uint64_t>(node.id())),
-                 obs::arg("attempt", static_cast<std::uint64_t>(timer.attempt))});
+    tr->instant(
+        "trainer.timeout", "fault",
+        {obs::arg("platform", static_cast<std::uint64_t>(node.id())),
+         obs::arg("attempt", static_cast<std::uint64_t>(timer.attempt))});
   }
   if (obs::FlightRecorder* fr = obs::flight()) {
     fr->note(network_.clock().now(),

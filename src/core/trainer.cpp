@@ -230,9 +230,9 @@ double SplitTrainer::begin_membership_round(std::int64_t round) {
   return round_start + config_.membership.round_deadline_sec;
 }
 
-void SplitTrainer::run_round(std::int64_t round,
-                             const std::vector<std::size_t>& participants,
-                             std::vector<std::size_t>& stepped) {
+std::vector<std::size_t> SplitTrainer::run_round(
+    std::int64_t round, const std::vector<std::size_t>& participants) {
+  std::vector<std::size_t> stepped;
   double deadline = std::numeric_limits<double>::infinity();
   std::vector<std::size_t> order = participants;
   if (membership_) {
@@ -248,7 +248,9 @@ void SplitTrainer::run_round(std::int64_t round,
     for (const auto& end : ended) {
       if (end.outcome == EventScheduler::Outcome::kCompleted) {
         stepped.push_back(end.platform);
-        if (membership_) membership_->note_step_completed(end.platform, end.at);
+        if (membership_) {
+          membership_->note_step_completed(end.platform, end.at);
+        }
       } else if (end.outcome == EventScheduler::Outcome::kUnreachable) {
         ++skipped_steps_;
       }
@@ -301,6 +303,7 @@ void SplitTrainer::run_round(std::int64_t round,
     last_round_void_ = membership_->end_round(
         round, static_cast<std::int64_t>(stepped.size()));
   }
+  return stepped;
 }
 
 std::vector<std::size_t> SplitTrainer::sample_participants(
@@ -435,8 +438,7 @@ metrics::TrainReport SplitTrainer::run() {
     // Under fault injection a participant's step can be abandoned (hospital
     // unreachable); only platforms that actually stepped count toward the
     // examples processed and the reported loss.
-    std::vector<std::size_t> stepped;
-    run_round(round, participants, stepped);
+    const std::vector<std::size_t> stepped = run_round(round, participants);
     for (const std::size_t p : stepped) {
       examples_processed_ += minibatches_[p];
     }

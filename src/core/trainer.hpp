@@ -203,11 +203,10 @@ class SplitTrainer {
   /// this round's steps through the scheduler's window (1 for the sequential
   /// schedule, unbounded otherwise; under membership in rotated start order,
   /// gated by can_step and the round deadline), then a drain to the round's
-  /// staleness horizon. `stepped` receives the platforms whose steps
-  /// completed this round, in ascending index order.
-  void run_round(std::int64_t round,
-                 const std::vector<std::size_t>& participants,
-                 std::vector<std::size_t>& stepped);
+  /// staleness horizon. Returns the platforms whose steps completed this
+  /// round, in ascending index order.
+  std::vector<std::size_t> run_round(
+      std::int64_t round, const std::vector<std::size_t>& participants);
   /// Membership prelude of `round`; returns the round's step deadline.
   double begin_membership_round(std::int64_t round);
   /// Samples this round's participants (>= 1, deterministic in the seed).

@@ -216,7 +216,7 @@ std::uint32_t directory_crc(const fs::path& dir) {
   return crc;
 }
 
-// --- pins ---------------------------------------------------------------------
+// --- pins -------------------------------------------------------------------
 
 const Fingerprint kSequentialFaulted{
     {81584, 172984, 267128, 362944, 457072, 551584, 643116, 719444, 798284,

@@ -311,7 +311,7 @@ TEST(BoundedStaleness, StragglersFoldInWithoutStallingTheRound) {
   EXPECT_GT(bounded.final_accuracy, 0.0);
 }
 
-// --- bounded staleness x L1 sync ----------------------------------------------
+// --- bounded staleness x L1 sync --------------------------------------------
 // Every sync_l1 round drains fully before the sync barrier, so the two
 // features compose: the barrier only ever sees a quiescent network.
 
