@@ -71,9 +71,7 @@ bool EventScheduler::join(std::size_t platform, std::uint64_t round,
   const std::int64_t before = node.rejoins_completed();
   node.send_join_request(network_, static_cast<std::uint32_t>(platform),
                          round, mode);
-  Task task;
-  task.join = true;
-  tasks_[platform] = std::move(task);
+  tasks_[platform] = Task{.join = true};
   if (recovery_) arm(platform);
   std::vector<StepEnd> ended;
   while (tasks_[platform]) pump(ended);

@@ -333,6 +333,11 @@ std::vector<std::size_t> SplitTrainer::sample_participants(
 void SplitTrainer::sync_l1(std::uint64_t round) {
   obs::Span span(obs::trace(), "trainer.sync_l1", "trainer");
   span.arg("round", round);
+  // The barrier's direct receives assume its own frames are the only ones in
+  // flight; every schedule drains fully on sync rounds.
+  SPLITMED_CHECK(network_.quiescent(),
+                 "L1 sync barrier with " << network_.total_in_flight()
+                                         << " frame(s) still in flight");
   // Weighted average of all platform L1 parameter vectors, by shard size.
   Tensor mean;
   double total_weight = 0.0;

@@ -224,10 +224,6 @@ class SplitTrainer {
   net::StarTopology topology_;
   std::unique_ptr<CentralServer> server_;
   std::vector<std::unique_ptr<PlatformNode>> platforms_;
-  /// The one round driver: every protocol, heartbeat and join frame of a
-  /// round moves through it, in every schedule, with retry timers under
-  /// fault injection. Built after the node set is final.
-  std::unique_ptr<EventScheduler> scheduler_;
   /// Keeps each replica's Rng alive (Dropout layers hold pointers into it).
   std::vector<std::unique_ptr<Rng>> replica_rngs_;
   std::vector<std::int64_t> minibatches_;
@@ -251,6 +247,13 @@ class SplitTrainer {
   /// metrics / flight-recorder files while the rest of the trainer (network
   /// clock, stats) is still alive.
   std::unique_ptr<obs::ObsSession> obs_session_;
+  /// The one round driver: every protocol, heartbeat and join frame of a
+  /// round moves through it, in every schedule, with retry timers under
+  /// fault injection. Built after the node set is final. Declared after
+  /// obs_session_ so it is destroyed BEFORE it: a step still in flight when
+  /// the trainer dies (an exception, a byte-budget stop mid-staleness)
+  /// closes its trainer.step span into a live recorder.
+  std::unique_ptr<EventScheduler> scheduler_;
 };
 
 }  // namespace splitmed::core

@@ -311,6 +311,28 @@ TEST(BoundedStaleness, StragglersFoldInWithoutStallingTheRound) {
   EXPECT_GT(bounded.final_accuracy, 0.0);
 }
 
+TEST(BoundedStaleness, BudgetStopWithStepsInFlightTearsDownCleanly) {
+  // A byte-budget stop ends run() on a round that did not drain fully, so
+  // stragglers are still mid-step when the trainer dies. Their trainer.step
+  // spans must close into a live trace recorder, not a destroyed one.
+  const auto train = make_dataset(48, 4, 8);
+  const auto test = make_dataset(16, 4, 8);
+  Rng prng(13);
+  const auto partition = data::partition_iid(train.size(), 4, prng);
+  core::SplitConfig cfg;
+  cfg.total_batch = 12;
+  cfg.rounds = 6;
+  cfg.eval_every = 1;
+  cfg.schedule = core::Schedule::kBoundedStaleness;
+  cfg.staleness_bound = 2;
+  cfg.byte_budget = 1;  // hit after the first round
+  cfg.obs.enabled = true;
+  core::SplitTrainer trainer(mlp_builder(), train, partition, test, cfg);
+  const auto report = trainer.run();
+  EXPECT_EQ(report.curve.size(), 1U);
+  EXPECT_FALSE(trainer.network().quiescent());
+}
+
 // --- bounded staleness x L1 sync --------------------------------------------
 // Every sync_l1 round drains fully before the sync barrier, so the two
 // features compose: the barrier only ever sees a quiescent network.
