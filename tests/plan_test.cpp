@@ -7,6 +7,7 @@
 // micro-kernel (plan_test_base_isa), mirroring gemm_test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <string>
@@ -24,6 +25,7 @@
 #include "src/nn/pool.hpp"
 #include "src/nn/residual.hpp"
 #include "src/nn/sequential.hpp"
+#include "src/tensor/gemm.hpp"
 #include "src/tensor/workspace.hpp"
 
 namespace splitmed::nn {
@@ -417,6 +419,164 @@ TEST(PlanInfer, PeakWorkspaceIsFlatInDepth) {
   const std::size_t p16 = peak_at_depth(16);
   EXPECT_GT(p4, 0U);
   EXPECT_EQ(p16, p4) << "peak workspace grew with depth";
+}
+
+// ---------------------------------------------------------------------------
+// The conv lowering oracle: Conv2d's forward, run_fused and backward against
+// a per-sample reference assembled from the unpacked pieces — im2col, the
+// naive gemm_*_ref kernels, a scalar epilogue and col2im, one sample at a
+// time — for the small spatial sizes of resnet-mini's server stages, and for
+// batches on both sides of the lowering's sample-group boundary.
+
+struct ConvCase {
+  std::int64_t in_c, out_c, kernel, stride, pad, in_hw, out_hw;
+};
+
+// Samples per lowering group: as many as keep the [crk, g·ohw] column slab
+// within 2^18 floats.
+std::int64_t group_size(const ConvGeometry& g) {
+  return std::max<std::int64_t>(1, (std::int64_t{1} << 18) /
+                                       (g.col_rows() * g.col_cols()));
+}
+
+// gemmk::Epilogue's per-element write-back sequence, in scalar code.
+float apply_epilogue(float x, const gemmk::Epilogue& ep, std::int64_t p) {
+  if (ep.bias != nullptr) x = x + ep.bias[p];
+  if (ep.bn_gamma != nullptr) {
+    x = ((ep.bn_gamma[p] * (x - ep.bn_mean[p])) * ep.bn_inv_std[p]) +
+        ep.bn_beta[p];
+  }
+  if (ep.relu) x = x > 0.0F ? x : 0.0F;
+  return x;
+}
+
+struct LoweringRef {
+  std::vector<float> out;     // bias-only epilogue (= forward)
+  std::vector<float> out_bn;  // bias + BN + ReLU epilogue
+  std::vector<float> grad_in, dw, db;
+};
+
+LoweringRef reference_lowering(const ConvGeometry& g, std::int64_t out_c,
+                               std::span<const float> w, std::int64_t batch,
+                               std::span<const float> x,
+                               std::span<const float> gout,
+                               const gemmk::Epilogue& bias_ep,
+                               const gemmk::Epilogue& bn_ep) {
+  const std::int64_t crk = g.col_rows(), ohw = g.col_cols();
+  const std::int64_t image = g.channels * g.in_h * g.in_w;
+  const auto n = [](std::int64_t v) { return static_cast<std::size_t>(v); };
+  LoweringRef r;
+  r.out.resize(n(batch * out_c * ohw));
+  r.out_bn.resize(r.out.size());
+  r.grad_in.assign(n(batch * image), 0.0F);
+  r.dw.assign(n(out_c * crk), 0.0F);
+  r.db.assign(n(out_c), 0.0F);
+  std::vector<float> col(n(crk * ohw)), dcol(col.size());
+  std::vector<float> c(n(out_c * ohw)), dw_b(r.dw.size());
+  for (std::int64_t b = 0; b < batch; ++b) {
+    const auto x_b = x.subspan(n(b * image), n(image));
+    const auto g_b = gout.subspan(n(b * out_c * ohw), n(out_c * ohw));
+    im2col(g, x_b, col);
+    gemm_nn_ref(out_c, ohw, crk, w, col, c);
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      for (std::int64_t j = 0; j < ohw; ++j) {
+        const std::size_t at = n((b * out_c + oc) * ohw + j);
+        r.out[at] = apply_epilogue(c[n(oc * ohw + j)], bias_ep, oc);
+        r.out_bn[at] = apply_epilogue(c[n(oc * ohw + j)], bn_ep, oc);
+      }
+    }
+    gemm_tn_ref(crk, ohw, out_c, w, g_b, dcol);
+    col2im(g, dcol, std::span<float>(r.grad_in).subspan(n(b * image)));
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      float acc = g_b[n(oc * ohw)];
+      for (std::int64_t j = 1; j < ohw; ++j) acc += g_b[n(oc * ohw + j)];
+      r.db[n(oc)] += acc;
+    }
+    gemm_nt_ref(out_c, crk, ohw, g_b, col, dw_b);
+    for (std::size_t i = 0; i < dw_b.size(); ++i) r.dw[i] += dw_b[i];
+  }
+  return r;
+}
+
+TEST(ConvLowering, MatchesPerSampleReferenceBitwise) {
+  // Every output element is the same k-ascending fold of the same products
+  // however the batch is lowered, so forward, both fused epilogues, the
+  // input gradient and the summed dW/db must equal the per-sample
+  // reference bitwise — at batches 1, 2, group-1, group, group+1 and
+  // 2·group+3, at 1, 2 and 8 threads. Odd out_c exercises partial MR row
+  // blocks; every case's g·ohw crosses several NR column panels.
+  PoolGuard guard;
+  const ConvCase cases[] = {
+      {128, 6, 3, 2, 1, 2, 1},  // 3×3 stride 2 → 1×1 (resnet-mini stage 4)
+      {64, 5, 1, 2, 0, 2, 1},   // 1×1 stride-2 projection → 1×1
+      {64, 6, 3, 2, 1, 4, 2},   // 3×3 stride 2 → 2×2
+      {32, 5, 1, 2, 0, 4, 2},   // 1×1 stride-2 projection → 2×2
+      {32, 6, 3, 1, 1, 4, 4},   // 3×3 → 4×4
+      {16, 5, 3, 2, 1, 8, 4},   // 3×3 stride 2 → 4×4
+      {16, 6, 3, 1, 1, 8, 8},   // 3×3 → 8×8
+      {8, 5, 3, 2, 1, 16, 8},   // 3×3 stride 2 → 8×8
+  };
+  for (const ConvCase& cc : cases) {
+    Rng rng(67);
+    Conv2d conv(cc.in_c, cc.out_c, cc.kernel, cc.stride, cc.pad, rng);
+    const std::vector<Parameter*> params = conv.parameters();
+    for (auto& v : params[1]->value.data()) v = rng.normal();
+    const ConvGeometry g{cc.in_c,  cc.in_hw,  cc.in_hw, cc.kernel,
+                         cc.kernel, cc.stride, cc.pad};
+    ASSERT_EQ(g.out_h(), cc.out_hw);
+    std::vector<float> gamma, mean, inv_std, beta;
+    for (std::int64_t c = 0; c < cc.out_c; ++c) {
+      gamma.push_back(rng.normal());
+      mean.push_back(rng.normal());
+      inv_std.push_back(0.5F + rng.uniform());
+      beta.push_back(rng.normal());
+    }
+    const gemmk::Epilogue bias_ep = conv.bias_epilogue();
+    gemmk::Epilogue bn_ep = bias_ep;
+    bn_ep.bn_gamma = gamma.data();
+    bn_ep.bn_mean = mean.data();
+    bn_ep.bn_inv_std = inv_std.data();
+    bn_ep.bn_beta = beta.data();
+    bn_ep.relu = true;
+
+    const std::int64_t grp = group_size(g);
+    for (const std::int64_t batch :
+         {std::int64_t{1}, std::int64_t{2}, grp - 1, grp, grp + 1,
+          2 * grp + 3}) {
+      if (batch < 1) continue;
+      const std::string what = conv.name() + " on " +
+                               std::to_string(cc.in_hw) + "², batch " +
+                               std::to_string(batch) + " (group " +
+                               std::to_string(grp) + ")";
+      const Tensor x =
+          random_input(Shape({batch, cc.in_c, cc.in_hw, cc.in_hw}), 71);
+      const Tensor gout =
+          random_input(Shape({batch, cc.out_c, cc.out_hw, cc.out_hw}), 73);
+      const LoweringRef ref =
+          reference_lowering(g, cc.out_c, params[0]->value.data(), batch,
+                             x.data(), gout.data(), bias_ep, bn_ep);
+      std::vector<float> fused(ref.out.size());
+      for (const int threads : {1, 2, 8}) {
+        set_global_threads(threads);
+        const std::string at = what + ", threads=" + std::to_string(threads);
+        conv.zero_grad();
+        const Tensor y = conv.forward(x, /*training=*/true);
+        EXPECT_TRUE(bitwise_equal(y.data(), ref.out)) << "forward, " << at;
+        conv.run_fused(x.data(), batch, cc.in_hw, cc.in_hw, fused, bias_ep);
+        EXPECT_TRUE(bitwise_equal(fused, ref.out)) << "run_fused bias, " << at;
+        conv.run_fused(x.data(), batch, cc.in_hw, cc.in_hw, fused, bn_ep);
+        EXPECT_TRUE(bitwise_equal(fused, ref.out_bn))
+            << "run_fused bias+bn+relu, " << at;
+        const Tensor gin = conv.backward(gout);
+        EXPECT_TRUE(bitwise_equal(gin.data(), ref.grad_in))
+            << "grad input, " << at;
+        EXPECT_TRUE(bitwise_equal(params[0]->grad.data(), ref.dw))
+            << "dW, " << at;
+        EXPECT_TRUE(bitwise_equal(params[1]->grad.data(), ref.db))
+            << "db, " << at;
+      }
+    }
+  }
 }
 
 }  // namespace
