@@ -153,7 +153,7 @@ void BM_Im2col(benchmark::State& state) {
   const Tensor img = Tensor::normal(Shape{16, 32, 32}, rng);
   std::vector<float> col(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
   for (auto _ : state) {
-    im2col(g, img.data(), col);
+    im2col(g, img.data(), col, g.col_cols());
     benchmark::DoNotOptimize(col.data());
   }
 }

@@ -1,5 +1,6 @@
 #include "src/nn/conv2d.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -9,6 +10,29 @@
 #include "src/tensor/workspace.hpp"
 
 namespace splitmed::nn {
+
+namespace {
+
+/// Splits [0, batch) into ceil(batch / g.group_size()) lowering groups of
+/// near-equal size and runs body(b0, b1) once per group. Groups write
+/// disjoint outputs, so they run in parallel when there are at least as
+/// many as pool threads. With fewer, they run one after another on the
+/// calling thread, and the group's GEMM partitions its own rows over the
+/// pool instead.
+void for_each_group(const ConvGeometry& g, std::int64_t batch,
+                    FunctionRef<void(std::int64_t, std::int64_t)> body) {
+  if (batch <= 0) return;
+  const std::int64_t groups = (batch + g.group_size() - 1) / g.group_size();
+  const std::int64_t per = (batch + groups - 1) / groups;
+  const std::int64_t grain = groups < global_threads() ? groups : 1;
+  parallel_for(0, groups, grain, [&](std::int64_t g0, std::int64_t g1) {
+    for (std::int64_t i = g0; i < g1; ++i) {
+      body(i * per, std::min(batch, (i + 1) * per));
+    }
+  });
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel, std::int64_t stride, std::int64_t pad,
@@ -66,33 +90,37 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
                        std::span<float> out,
                        const gemmk::Epilogue& ep) const {
   const ConvGeometry g = geometry(in_h, in_w);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  const std::int64_t crk = g.col_rows(), ohw = g.col_cols();
   const std::int64_t image_elems = in_c_ * g.in_h * g.in_w;
-  const std::int64_t out_elems = out_c_ * oh * ow;
+  const std::int64_t out_elems = out_c_ * ohw;
   SPLITMED_CHECK(
       input.size() >= static_cast<std::size_t>(batch * image_elems) &&
           out.size() >= static_cast<std::size_t>(batch * out_elems),
       name() << ": run_fused span too small");
-  // Samples write disjoint output planes, so the batch loop partitions
-  // cleanly across threads; each chunk checks its col scratch out of its
-  // own thread's workspace arena — zero heap allocations once the arenas
-  // are warm. (Nested kernel calls run serially inside a chunk; with a
-  // single-sample batch the chunk runs inline and the kernels parallelize
-  // instead.) The epilogue (bias / bn / relu, per output channel = per C
-  // row) is applied to each element at write-back, after its k-fold.
-  parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
+  const auto at = [](std::int64_t i) { return static_cast<std::size_t>(i); };
+  // One GEMM per sample group: the group's samples lower side by side into
+  // cols[crk, n = gs*ohw], and C[out_c, n] = ep(W · cols). Every C element
+  // is the same k-ascending fold it is per sample; the epilogue (bias / bn
+  // / relu, per output channel = per C row) is applied at write-back. A
+  // one-sample group's C is its output plane; a wider one's C is copied
+  // out sample by sample. Scratch comes from the running thread's arena.
+  for_each_group(g, batch, [&](std::int64_t b0, std::int64_t b1) {
+    const std::int64_t gs = b1 - b0, n = gs * ohw;
     ws::WorkspaceScope scratch;
-    std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
-    for (std::int64_t b = b0; b < b1; ++b) {
-      im2col(g, input.subspan(static_cast<std::size_t>(b * image_elems),
-                              static_cast<std::size_t>(image_elems)),
-             col);
-      // out[b] = ep(W[out_c, crk] · col[crk, oh*ow])
-      gemm_nn_ep(out_c_, g.col_cols(), g.col_rows(), weight_.value.data(),
-                 col,
-                 out.subspan(static_cast<std::size_t>(b * out_elems),
-                             static_cast<std::size_t>(out_elems)),
-                 ep);
+    std::span<float> cols = scratch.floats(crk * n);
+    for (std::int64_t s = 0; s < gs; ++s) {
+      im2col(g, input.subspan(at((b0 + s) * image_elems), at(image_elems)),
+             cols.subspan(at(s * ohw)), n);
+    }
+    std::span<float> dst = out.subspan(at(b0 * out_elems), at(gs * out_elems));
+    std::span<float> c = gs == 1 ? dst : scratch.floats(out_c_ * n);
+    gemm_nn_ep(out_c_, n, crk, weight_.value.data(), cols, c, ep);
+    if (gs == 1) return;
+    for (std::int64_t s = 0; s < gs; ++s) {
+      for (std::int64_t oc = 0; oc < out_c_; ++oc) {
+        std::copy_n(c.data() + oc * n + s * ohw, ohw,
+                    dst.data() + s * out_elems + oc * ohw);
+      }
     }
   });
 }
@@ -103,61 +131,77 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t batch = cached_input_.shape().dim(0);
   const ConvGeometry g =
       geometry(cached_input_.shape().dim(2), cached_input_.shape().dim(3));
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  check_same_shape(grad_output.shape(), Shape{batch, out_c_, oh, ow},
+  const std::int64_t crk = g.col_rows(), ohw = g.col_cols();
+  check_same_shape(grad_output.shape(), Shape{batch, out_c_, g.out_h(),
+                                              g.out_w()},
                    "Conv2d backward");
 
   Tensor grad_input(cached_input_.shape());
 
   const std::int64_t image_elems = in_c_ * g.in_h * g.in_w;
-  const std::int64_t out_elems = out_c_ * oh * ow;
+  const std::int64_t out_elems = out_c_ * ohw;
   const std::int64_t wn = weight_.value.numel();
+  const auto at = [](std::int64_t i) { return static_cast<std::size_t>(i); };
   auto id = cached_input_.data();
   auto gd = grad_output.data();
   auto gi = grad_input.data();
   auto wg = weight_.grad.data();
   auto bg = bias_.grad.data();
 
-  // Per-sample weight/bias gradient slabs, checked out of the CALLING
+  // Input gradient, one GEMM per sample group: the group's grad_output
+  // planes are gathered side by side into [out_c, n = gs*ohw] (a one-sample
+  // group reads its plane in place), dcol[crk, n] = Wᵀ · g_out (gemm_tn),
+  // and col2im scatter-adds each sample's column block into its own
+  // disjoint grad_input planes.
+  for_each_group(g, batch, [&](std::int64_t b0, std::int64_t b1) {
+    const std::int64_t gs = b1 - b0, n = gs * ohw;
+    ws::WorkspaceScope scratch;
+    std::span<const float> g_out =
+        gd.subspan(at(b0 * out_elems), at(gs * out_elems));
+    if (gs > 1) {
+      std::span<float> gathered = scratch.floats(out_c_ * n);
+      for (std::int64_t s = 0; s < gs; ++s) {
+        for (std::int64_t oc = 0; oc < out_c_; ++oc) {
+          std::copy_n(g_out.data() + s * out_elems + oc * ohw, ohw,
+                      gathered.data() + oc * n + s * ohw);
+        }
+      }
+      g_out = gathered;
+    }
+    std::span<float> dcol = scratch.floats(crk * n);
+    gemm_tn(crk, n, out_c_, weight_.value.data(), g_out, dcol);
+    for (std::int64_t s = 0; s < gs; ++s) {
+      col2im(g, dcol.subspan(at(s * ohw)), n,
+             gi.subspan(at((b0 + s) * image_elems), at(image_elems)));
+    }
+  });
+
+  // Weight and bias gradients stay per sample: batching their k (= ohw)
+  // across samples would fold every sample into one sum and change the
+  // float grouping. Per-sample slabs are checked out of the CALLING
   // thread's arena so they survive the parallel region below; workers fill
   // disjoint slabs, then one serial pass reduces them in ascending sample
   // order — the identical float grouping to a serial batch loop, so the
   // result is bitwise thread-invariant.
+  //  - bias slab: spatial sums per channel;
+  //  - weight slab: dW_b = g_out[out_c, ohw] · colᵀ[ohw, crk]  (gemm_nt).
   ws::WorkspaceScope slabs;
   std::span<float> dw_slabs = slabs.floats(batch * wn);
   std::span<float> db_slabs = slabs.floats(batch * out_c_);
-
-  // One fused pass over the batch; samples are independent:
-  //  - dcol = Wᵀ[crk, out_c] · g_out[out_c, ohw] (gemm_tn), scatter-added
-  //    back to this sample's disjoint grad_input planes (col2im);
-  //  - bias slab: spatial sums per channel;
-  //  - weight slab: dW_b = g_out[out_c, ohw] · colᵀ[ohw, crk]  (gemm_nt).
-  // col/dcol scratch comes from each worker's own arena.
   parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
     ws::WorkspaceScope scratch;
-    std::span<float> col = scratch.floats(g.col_rows() * g.col_cols());
-    std::span<float> dcol = scratch.floats(g.col_rows() * g.col_cols());
+    std::span<float> col = scratch.floats(crk * ohw);
     for (std::int64_t b = b0; b < b1; ++b) {
-      auto g_out = gd.subspan(static_cast<std::size_t>(b * out_elems),
-                              static_cast<std::size_t>(out_elems));
-      gemm_tn(g.col_rows(), g.col_cols(), out_c_, weight_.value.data(), g_out,
-              dcol);
-      col2im(g, dcol,
-             gi.subspan(static_cast<std::size_t>(b * image_elems),
-                        static_cast<std::size_t>(image_elems)));
+      auto g_out = gd.subspan(at(b * out_elems), at(out_elems));
       float* db = db_slabs.data() + b * out_c_;
       for (std::int64_t c = 0; c < out_c_; ++c) {
-        const float* plane = g_out.data() + c * oh * ow;
+        const float* plane = g_out.data() + c * ohw;
         float acc = plane[0];
-        for (std::int64_t i = 1; i < oh * ow; ++i) acc += plane[i];
+        for (std::int64_t i = 1; i < ohw; ++i) acc += plane[i];
         db[c] = acc;
       }
-      im2col(g, id.subspan(static_cast<std::size_t>(b * image_elems),
-                           static_cast<std::size_t>(image_elems)),
-             col);
-      gemm_nt(out_c_, g.col_rows(), g.col_cols(), g_out, col,
-              dw_slabs.subspan(static_cast<std::size_t>(b * wn),
-                               static_cast<std::size_t>(wn)));
+      im2col(g, id.subspan(at(b * image_elems), at(image_elems)), col, ohw);
+      gemm_nt(out_c_, crk, ohw, g_out, col, dw_slabs.subspan(at(b * wn), at(wn)));
     }
   });
 

@@ -1,4 +1,6 @@
-// 2-D convolution (NCHW) via im2col + GEMM.
+// 2-D convolution (NCHW) via im2col + GEMM, lowered one sample group at a
+// time: a group's samples sit side by side in one column slab and share one
+// GEMM (docs/PERFORMANCE.md, "Batched conv lowering").
 #pragma once
 
 #include <span>
@@ -19,6 +21,8 @@ class Conv2d final : public Layer {
   /// Caches the input and runs the GEMM with a bias-only epilogue — the
   /// same kernel every forward and infer of this layer goes through.
   Tensor forward(const Tensor& input, bool training) override;
+  /// The input gradient runs one gemm_tn per sample group; dW and db stay
+  /// per-sample slabs reduced in ascending sample order.
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
@@ -37,6 +41,8 @@ class Conv2d final : public Layer {
   Tensor forward_ep(const Tensor& input, const gemmk::Epilogue& ep);
   /// Raw-span variant for slab-chained inference: input/out are NCHW with
   /// the given geometry; out must hold batch*out_channels*out_h*out_w.
+  /// Every forward and infer of this layer runs here: one
+  /// gemm_nn_ep(out_c, g*out_h*out_w, in_c*k*k) per group of g samples.
   void run_fused(std::span<const float> input, std::int64_t batch,
                  std::int64_t in_h, std::int64_t in_w, std::span<float> out,
                  const gemmk::Epilogue& ep) const;

@@ -38,6 +38,18 @@ std::int64_t channel_grain(const ConvGeometry& g) {
   return std::max<std::int64_t>(1, kParallelElems / per_channel);
 }
 
+/// A column block of col_rows() rows at row stride col_stride must fit in
+/// col_size floats; its last row needs only col_cols() of them.
+void check_col_block(const ConvGeometry& g, std::size_t col_size,
+                     std::int64_t col_stride, const char* who) {
+  SPLITMED_CHECK(col_stride >= g.col_cols(),
+                 who << ": col_stride " << col_stride << " < col_cols "
+                     << g.col_cols());
+  SPLITMED_CHECK(col_size >= static_cast<std::size_t>(
+                                 (g.col_rows() - 1) * col_stride + g.col_cols()),
+                 who << ": col span too small");
+}
+
 }  // namespace
 
 void ConvGeometry::validate() const {
@@ -50,14 +62,16 @@ void ConvGeometry::validate() const {
                  "conv geometry: kernel larger than padded input");
 }
 
+std::int64_t ConvGeometry::group_size() const {
+  return std::max<std::int64_t>(1, kColSlabFloats / (col_rows() * col_cols()));
+}
+
 void im2col(const ConvGeometry& g, std::span<const float> image,
-            std::span<float> col) {
+            std::span<float> col, std::int64_t col_stride) {
   SPLITMED_CHECK(image.size() >=
                      static_cast<std::size_t>(g.channels * g.in_h * g.in_w),
                  "im2col: image span too small");
-  SPLITMED_CHECK(col.size() >=
-                     static_cast<std::size_t>(g.col_rows() * g.col_cols()),
-                 "im2col: col span too small");
+  check_col_block(g, col.size(), col_stride, "im2col");
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   // Channel c fills exactly col rows [c*kh*kw, (c+1)*kh*kw) from its own
   // image plane — disjoint reads and writes, so any channel partition is
@@ -69,7 +83,7 @@ void im2col(const ConvGeometry& g, std::span<const float> image,
     std::size_t r = static_cast<std::size_t>(c * g.kernel_h * g.kernel_w);
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-        float* out_row = col.data() + r * oh * ow;
+        float* out_row = col.data() + r * col_stride;
         ++r;
         // Split each output row into zero prefix / branch-free interior /
         // zero suffix instead of testing bounds per element — identical
@@ -102,13 +116,11 @@ void im2col(const ConvGeometry& g, std::span<const float> image,
 }
 
 void col2im(const ConvGeometry& g, std::span<const float> col,
-            std::span<float> image) {
+            std::int64_t col_stride, std::span<float> image) {
   SPLITMED_CHECK(image.size() >=
                      static_cast<std::size_t>(g.channels * g.in_h * g.in_w),
                  "col2im: image span too small");
-  SPLITMED_CHECK(col.size() >=
-                     static_cast<std::size_t>(g.col_rows() * g.col_cols()),
-                 "col2im: col span too small");
+  check_col_block(g, col.size(), col_stride, "col2im");
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   // Channel c accumulates only into its own image plane, from its own col
   // rows, in the serial kh/kw/y/x order — the accumulation order within a
@@ -120,7 +132,7 @@ void col2im(const ConvGeometry& g, std::span<const float> col,
     std::size_t r = static_cast<std::size_t>(c * g.kernel_h * g.kernel_w);
     for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
       for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-        const float* in_row_base = col.data() + r * oh * ow;
+        const float* in_row_base = col.data() + r * col_stride;
         ++r;
         // Only the in-bounds interior contributes; x still ascends, so the
         // accumulation order per image element is unchanged.

@@ -7,7 +7,6 @@
 // micro-kernel (plan_test_base_isa), mirroring gemm_test.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <span>
 #include <string>
@@ -432,13 +431,6 @@ struct ConvCase {
   std::int64_t in_c, out_c, kernel, stride, pad, in_hw, out_hw;
 };
 
-// Samples per lowering group: as many as keep the [crk, g·ohw] column slab
-// within 2^18 floats.
-std::int64_t group_size(const ConvGeometry& g) {
-  return std::max<std::int64_t>(1, (std::int64_t{1} << 18) /
-                                       (g.col_rows() * g.col_cols()));
-}
-
 // gemmk::Epilogue's per-element write-back sequence, in scalar code.
 float apply_epilogue(float x, const gemmk::Epilogue& ep, std::int64_t p) {
   if (ep.bias != nullptr) x = x + ep.bias[p];
@@ -476,7 +468,7 @@ LoweringRef reference_lowering(const ConvGeometry& g, std::int64_t out_c,
   for (std::int64_t b = 0; b < batch; ++b) {
     const auto x_b = x.subspan(n(b * image), n(image));
     const auto g_b = gout.subspan(n(b * out_c * ohw), n(out_c * ohw));
-    im2col(g, x_b, col);
+    im2col(g, x_b, col, ohw);
     gemm_nn_ref(out_c, ohw, crk, w, col, c);
     for (std::int64_t oc = 0; oc < out_c; ++oc) {
       for (std::int64_t j = 0; j < ohw; ++j) {
@@ -486,7 +478,7 @@ LoweringRef reference_lowering(const ConvGeometry& g, std::int64_t out_c,
       }
     }
     gemm_tn_ref(crk, ohw, out_c, w, g_b, dcol);
-    col2im(g, dcol, std::span<float>(r.grad_in).subspan(n(b * image)));
+    col2im(g, dcol, ohw, std::span<float>(r.grad_in).subspan(n(b * image)));
     for (std::int64_t oc = 0; oc < out_c; ++oc) {
       float acc = g_b[n(oc * ohw)];
       for (std::int64_t j = 1; j < ohw; ++j) acc += g_b[n(oc * ohw + j)];
@@ -539,7 +531,7 @@ TEST(ConvLowering, MatchesPerSampleReferenceBitwise) {
     bn_ep.bn_beta = beta.data();
     bn_ep.relu = true;
 
-    const std::int64_t grp = group_size(g);
+    const std::int64_t grp = g.group_size();
     for (const std::int64_t batch :
          {std::int64_t{1}, std::int64_t{2}, grp - 1, grp, grp + 1,
           2 * grp + 3}) {

@@ -188,8 +188,8 @@ TEST(SubstrateDeterminism, Im2colCol2imBitwiseInvariant) {
     std::vector<float> col(
         static_cast<std::size_t>(g.col_rows() * g.col_cols()));
     std::vector<float> back(static_cast<std::size_t>(6 * 13 * 13), 0.0F);
-    im2col(g, img.data(), col);
-    col2im(g, colsrc.data(), back);
+    im2col(g, img.data(), col, g.col_cols());
+    col2im(g, colsrc.data(), g.col_cols(), back);
     col.insert(col.end(), back.begin(), back.end());
     return col;
   });
