@@ -8,6 +8,8 @@
 // BENCH_substrate.json (see docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/core/protocol.hpp"
@@ -43,7 +45,8 @@ const int kBuildTypeContext = [] {
 
 // Fixed thread pins per benchmark family. Kernel benches run serial so
 // GFLOP/s is per-core kernel speed; layer benches use a fixed small pool so
-// fork-join costs show up without depending on hardware_concurrency. Layer
+// fork-join costs show up without depending on hardware_concurrency (the
+// *_Server conv benches take 1 or kLayerThreads as an argument). Layer
 // benches time wall clock (UseRealTime): the main thread's CPU time misses
 // the work the pool's workers do, so items_per_second would disagree with
 // ns_per_op.
@@ -189,6 +192,53 @@ void BM_ConvBackward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_ConvBackward)->Arg(1)->Arg(4)->Arg(16)->Arg(32)->UseRealTime();
+
+// resnet-mini's server-side 3x3 convs, where one sample's out_h*out_w is a
+// handful of GEMM columns: 128 channels at 1x1, 64 at 2x2 and 32 at 4x4
+// (stride 1, pad 1), at batches 1, 32 and 64, on 1 and 4 threads.
+void server_conv_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"ch", "hw", "batch", "threads"});
+  for (const auto& [ch, hw] : {std::pair{128, 1}, {64, 2}, {32, 4}}) {
+    for (const int batch : {1, 32, 64}) {
+      for (const int threads : {1, kLayerThreads}) {
+        b->Args({ch, hw, batch, threads});
+      }
+    }
+  }
+}
+
+void BM_ConvForward_Server(benchmark::State& state) {
+  const std::int64_t ch = state.range(0), hw = state.range(1);
+  const std::int64_t batch = state.range(2);
+  set_global_threads(static_cast<int>(state.range(3)));
+  Rng rng(11);
+  nn::Conv2d conv(ch, ch, 3, 1, 1, rng);
+  const Tensor x = Tensor::normal(Shape{batch, ch, hw, hw}, rng);
+  for (auto _ : state) {
+    Tensor y = conv.forward(x, true);
+    benchmark::DoNotOptimize(y.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_ConvForward_Server)->Apply(server_conv_args)->UseRealTime();
+
+void BM_ConvBackward_Server(benchmark::State& state) {
+  const std::int64_t ch = state.range(0), hw = state.range(1);
+  const std::int64_t batch = state.range(2);
+  set_global_threads(static_cast<int>(state.range(3)));
+  Rng rng(12);
+  nn::Conv2d conv(ch, ch, 3, 1, 1, rng);
+  const Tensor x = Tensor::normal(Shape{batch, ch, hw, hw}, rng);
+  const Tensor y = conv.forward(x, true);
+  const Tensor g = Tensor::normal(y.shape(), rng);
+  for (auto _ : state) {
+    conv.zero_grad();
+    Tensor gi = conv.backward(g);
+    benchmark::DoNotOptimize(gi.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_ConvBackward_Server)->Apply(server_conv_args)->UseRealTime();
 
 void BM_LinearForward(benchmark::State& state) {
   set_global_threads(kLayerThreads);

@@ -13,21 +13,21 @@ namespace splitmed::nn {
 
 namespace {
 
-/// Splits [0, batch) into ceil(batch / g.group_size()) lowering groups of
-/// near-equal size and runs body(b0, b1) once per group. Groups write
-/// disjoint outputs, so they run in parallel when there are at least as
-/// many as pool threads. With fewer, they run one after another on the
-/// calling thread, and the group's GEMM partitions its own rows over the
-/// pool instead.
+/// Splits [0, batch) into lowering groups and runs body(b0, b1) once per
+/// group. There are enough groups to keep each group within
+/// g.group_size() samples, and at least as many as the pool has free lanes
+/// while the batch allows; sizes differ by at most one. Groups write
+/// disjoint outputs and run in parallel. A single group runs inline, and
+/// its GEMM partitions its own rows over the pool.
 void for_each_group(const ConvGeometry& g, std::int64_t batch,
                     FunctionRef<void(std::int64_t, std::int64_t)> body) {
-  if (batch <= 0) return;
-  const std::int64_t groups = (batch + g.group_size() - 1) / g.group_size();
-  const std::int64_t per = (batch + groups - 1) / groups;
-  const std::int64_t grain = groups < global_threads() ? groups : 1;
-  parallel_for(0, groups, grain, [&](std::int64_t g0, std::int64_t g1) {
-    for (std::int64_t i = g0; i < g1; ++i) {
-      body(i * per, std::min(batch, (i + 1) * per));
+  const std::int64_t lanes = in_parallel_region() ? 1 : global_threads();
+  const std::int64_t groups =
+      std::max((batch + g.group_size() - 1) / g.group_size(),
+               std::min(batch, lanes));
+  parallel_for(0, groups, 1, [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      body(i * batch / groups, (i + 1) * batch / groups);
     }
   });
 }

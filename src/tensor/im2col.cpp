@@ -74,22 +74,24 @@ void im2col(const ConvGeometry& g, std::span<const float> image,
   check_col_block(g, col.size(), col_stride, "im2col");
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   // Channel c fills exactly col rows [c*kh*kw, (c+1)*kh*kw) from its own
-  // image plane — disjoint reads and writes, so any channel partition is
-  // bitwise identical to the serial sweep.
+  // image plane — disjoint reads and writes, so any channel partition (and
+  // the tap-major sweep inside a chunk) is bitwise identical to the serial
+  // channel-major sweep.
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
   parallel_for(0, g.channels, channel_grain(g), [&](std::int64_t c0,
                                                     std::int64_t c1) {
-  for (std::int64_t c = c0; c < c1; ++c) {
-    const float* chan = image.data() + c * g.in_h * g.in_w;
-    std::size_t r = static_cast<std::size_t>(c * g.kernel_h * g.kernel_w);
-    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-        float* out_row = col.data() + r * col_stride;
-        ++r;
-        // Split each output row into zero prefix / branch-free interior /
-        // zero suffix instead of testing bounds per element — identical
-        // values, and the interior copy vectorizes.
-        const std::int64_t shift = kw - g.pad;
-        const auto [x0, x1] = interior_range(shift, g.stride, g.in_w, ow);
+  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+      // Split each output row into zero prefix / branch-free interior /
+      // zero suffix instead of testing bounds per element — identical
+      // values, and the interior copy vectorizes. The split depends only
+      // on the tap, so it is worked out once per tap, not per channel.
+      const std::int64_t shift = kw - g.pad;
+      const auto [x0, x1] = interior_range(shift, g.stride, g.in_w, ow);
+      const std::int64_t tap = kh * g.kernel_w + kw;
+      for (std::int64_t c = c0; c < c1; ++c) {
+        const float* chan = image.data() + c * g.in_h * g.in_w;
+        float* out_row = col.data() + (c * taps + tap) * col_stride;
         for (std::int64_t y = 0; y < oh; ++y) {
           const std::int64_t iy = y * g.stride + kh - g.pad;
           float* out = out_row + y * ow;
@@ -124,20 +126,21 @@ void col2im(const ConvGeometry& g, std::span<const float> col,
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   // Channel c accumulates only into its own image plane, from its own col
   // rows, in the serial kh/kw/y/x order — the accumulation order within a
-  // plane is identical for every channel partition.
+  // plane is identical for every channel partition and for the tap-major
+  // sweep inside a chunk.
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
   parallel_for(0, g.channels, channel_grain(g), [&](std::int64_t c0,
                                                     std::int64_t c1) {
-  for (std::int64_t c = c0; c < c1; ++c) {
-    float* chan = image.data() + c * g.in_h * g.in_w;
-    std::size_t r = static_cast<std::size_t>(c * g.kernel_h * g.kernel_w);
-    for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
-        const float* in_row_base = col.data() + r * col_stride;
-        ++r;
-        // Only the in-bounds interior contributes; x still ascends, so the
-        // accumulation order per image element is unchanged.
-        const std::int64_t shift = kw - g.pad;
-        const auto [x0, x1] = interior_range(shift, g.stride, g.in_w, ow);
+  for (std::int64_t kh = 0; kh < g.kernel_h; ++kh) {
+    for (std::int64_t kw = 0; kw < g.kernel_w; ++kw) {
+      // Only the in-bounds interior contributes; x still ascends, so the
+      // accumulation order per image element is unchanged.
+      const std::int64_t shift = kw - g.pad;
+      const auto [x0, x1] = interior_range(shift, g.stride, g.in_w, ow);
+      const std::int64_t tap = kh * g.kernel_w + kw;
+      for (std::int64_t c = c0; c < c1; ++c) {
+        float* chan = image.data() + c * g.in_h * g.in_w;
+        const float* in_row_base = col.data() + (c * taps + tap) * col_stride;
         for (std::int64_t y = 0; y < oh; ++y) {
           const std::int64_t iy = y * g.stride + kh - g.pad;
           if (iy < 0 || iy >= g.in_h) continue;
