@@ -13,21 +13,25 @@ namespace splitmed::nn {
 
 namespace {
 
-/// Splits [0, batch) into lowering groups and runs body(b0, b1) once per
-/// group. There are enough groups to keep each group within
-/// g.group_size() samples, and at least as many as the pool has free lanes
-/// while the batch allows; sizes differ by at most one. Groups write
-/// disjoint outputs and run in parallel. A single group runs inline, and
-/// its GEMM partitions its own rows over the pool.
-void for_each_group(const ConvGeometry& g, std::int64_t batch,
-                    FunctionRef<void(std::int64_t, std::int64_t)> body) {
+/// Splits [0, batch) into lowering groups and runs body(b0, b1, most) once
+/// per group, where `most` is the size of the largest group. There are
+/// enough groups to keep each within g.group_size() samples, and at least
+/// as many as the pool has free lanes while the batch allows; sizes differ
+/// by at most one. Groups write disjoint outputs and run in parallel. A
+/// single group runs inline, and its GEMM partitions its own rows over the
+/// pool. Bodies size their scratch by `most`, so every lane's arena settles
+/// at one high-water mark whichever groups it draws.
+void for_each_group(
+    const ConvGeometry& g, std::int64_t batch,
+    FunctionRef<void(std::int64_t, std::int64_t, std::int64_t)> body) {
   const std::int64_t lanes = in_parallel_region() ? 1 : global_threads();
   const std::int64_t groups =
       std::max((batch + g.group_size() - 1) / g.group_size(),
                std::min(batch, lanes));
+  const std::int64_t most = groups > 0 ? (batch + groups - 1) / groups : 0;
   parallel_for(0, groups, 1, [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
-      body(i * batch / groups, (i + 1) * batch / groups);
+      body(i * batch / groups, (i + 1) * batch / groups, most);
     }
   });
 }
@@ -101,25 +105,24 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
   // One GEMM per sample group: the group's samples lower side by side into
   // cols[crk, n = gs*ohw], and C[out_c, n] = ep(W · cols). Every C element
   // is the same k-ascending fold it is per sample; the epilogue (bias / bn
-  // / relu, per output channel = per C row) is applied at write-back. A
-  // one-sample group's C is its output plane; a wider one's C is copied
-  // out sample by sample. Scratch comes from the running thread's arena.
-  for_each_group(g, batch, [&](std::int64_t b0, std::int64_t b1) {
+  // / relu, per output channel = per C row) is applied at write-back. Each
+  // sample's [out_c, ohw] block of C is then copied to its output plane.
+  // Scratch comes from the running thread's arena.
+  for_each_group(g, batch, [&](std::int64_t b0, std::int64_t b1,
+                               std::int64_t most) {
     const std::int64_t gs = b1 - b0, n = gs * ohw;
     ws::WorkspaceScope scratch;
-    std::span<float> cols = scratch.floats(crk * n);
+    std::span<float> cols = scratch.floats(crk * most * ohw);
     for (std::int64_t s = 0; s < gs; ++s) {
       im2col(g, input.subspan(at((b0 + s) * image_elems), at(image_elems)),
              cols.subspan(at(s * ohw)), n);
     }
-    std::span<float> dst = out.subspan(at(b0 * out_elems), at(gs * out_elems));
-    std::span<float> c = gs == 1 ? dst : scratch.floats(out_c_ * n);
+    std::span<float> c = scratch.floats(out_c_ * most * ohw);
     gemm_nn_ep(out_c_, n, crk, weight_.value.data(), cols, c, ep);
-    if (gs == 1) return;
     for (std::int64_t s = 0; s < gs; ++s) {
       for (std::int64_t oc = 0; oc < out_c_; ++oc) {
         std::copy_n(c.data() + oc * n + s * ohw, ohw,
-                    dst.data() + s * out_elems + oc * ohw);
+                    out.data() + (b0 + s) * out_elems + oc * ohw);
       }
     }
   });
@@ -149,26 +152,21 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   auto bg = bias_.grad.data();
 
   // Input gradient, one GEMM per sample group: the group's grad_output
-  // planes are gathered side by side into [out_c, n = gs*ohw] (a one-sample
-  // group reads its plane in place), dcol[crk, n] = Wᵀ · g_out (gemm_tn),
-  // and col2im scatter-adds each sample's column block into its own
-  // disjoint grad_input planes.
-  for_each_group(g, batch, [&](std::int64_t b0, std::int64_t b1) {
+  // planes are gathered side by side into g_out[out_c, n = gs*ohw],
+  // dcol[crk, n] = Wᵀ · g_out (gemm_tn), and col2im scatter-adds each
+  // sample's column block into its own disjoint grad_input planes.
+  for_each_group(g, batch, [&](std::int64_t b0, std::int64_t b1,
+                               std::int64_t most) {
     const std::int64_t gs = b1 - b0, n = gs * ohw;
     ws::WorkspaceScope scratch;
-    std::span<const float> g_out =
-        gd.subspan(at(b0 * out_elems), at(gs * out_elems));
-    if (gs > 1) {
-      std::span<float> gathered = scratch.floats(out_c_ * n);
-      for (std::int64_t s = 0; s < gs; ++s) {
-        for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-          std::copy_n(g_out.data() + s * out_elems + oc * ohw, ohw,
-                      gathered.data() + oc * n + s * ohw);
-        }
+    std::span<float> g_out = scratch.floats(out_c_ * most * ohw);
+    for (std::int64_t s = 0; s < gs; ++s) {
+      for (std::int64_t oc = 0; oc < out_c_; ++oc) {
+        std::copy_n(gd.data() + (b0 + s) * out_elems + oc * ohw, ohw,
+                    g_out.data() + oc * n + s * ohw);
       }
-      g_out = gathered;
     }
-    std::span<float> dcol = scratch.floats(crk * n);
+    std::span<float> dcol = scratch.floats(crk * most * ohw);
     gemm_tn(crk, n, out_c_, weight_.value.data(), g_out, dcol);
     for (std::int64_t s = 0; s < gs; ++s) {
       col2im(g, dcol.subspan(at(s * ohw)), n,

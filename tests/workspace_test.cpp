@@ -172,5 +172,33 @@ TEST(Workspace, Conv2dSteadyStateMakesNoArenaAllocations) {
   set_global_threads(0);
 }
 
+// The same property when the batch lowers in several groups of unequal
+// size: a small-spatial conv (1152 column rows x 16 columns per sample, so
+// kColSlabFloats holds 14 samples) over a batch of 64 lowers in 5 groups.
+// Forward, the slab-chained run_fused path and backward all reach their
+// high-water mark in the warm-up step.
+TEST(Workspace, GroupedConv2dSteadyStateMakesNoArenaAllocations) {
+  set_global_threads(1);
+  Rng rng(11);
+  nn::Conv2d conv(128, 16, 3, 1, 1, rng);
+  const Tensor x = Tensor::normal(Shape{64, 128, 4, 4}, rng);
+  const ConvGeometry geom{128, 4, 4, 3, 3, 1, 1};
+  ASSERT_EQ(geom.group_size(), 14);
+  std::vector<float> fused(static_cast<std::size_t>(64 * 16 * 4 * 4));
+  const Tensor g = Tensor::normal(conv.output_shape(x.shape()), rng);
+  const auto step = [&] {
+    conv.zero_grad();
+    (void)conv.forward(x, true);
+    conv.run_fused(x.data(), 64, 4, 4, fused, conv.bias_epilogue());
+    (void)conv.backward(g);
+  };
+  step();  // warm-up grows the arena to its high-water mark
+  const std::uint64_t allocs = ws::global_block_allocs();
+  for (int i = 0; i < 4; ++i) step();
+  EXPECT_EQ(ws::global_block_allocs(), allocs)
+      << "steady-state grouped Conv2d steps must not grow any arena";
+  set_global_threads(0);
+}
+
 }  // namespace
 }  // namespace splitmed
