@@ -33,7 +33,8 @@ double run_split(const data::Dataset& train, const data::Dataset& test,
   if (batches_out != nullptr) {
     std::string s;
     for (const auto b : trainer.minibatches()) {
-      s += (s.empty() ? "" : "/") + std::to_string(b);
+      if (!s.empty()) s += '/';
+      s += std::to_string(b);
     }
     *batches_out = s;
   }
@@ -59,8 +60,8 @@ int main() {
         data::partition_zipf(train.size(), kPlatforms, alpha, prng);
     std::string shard_sizes;
     for (const auto& shard : partition) {
-      shard_sizes += (shard_sizes.empty() ? "" : "/") +
-                     std::to_string(shard.size());
+      if (!shard_sizes.empty()) shard_sizes += '/';
+      shard_sizes += std::to_string(shard.size());
     }
 
     std::string prop_batches;

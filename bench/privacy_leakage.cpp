@@ -61,7 +61,8 @@ int main() {
 
     std::string desc;
     for (std::size_t i = 0; i < static_cast<std::size_t>(cut); ++i) {
-      desc += (desc.empty() ? "" : "+") + parts.platform.layer(i).name();
+      if (!desc.empty()) desc += '+';
+      desc += parts.platform.layer(i).name();
     }
     table.add_row(
         {std::to_string(cut) + " (" + desc + ")",

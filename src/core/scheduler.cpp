@@ -71,7 +71,7 @@ bool EventScheduler::join(std::size_t platform, std::uint64_t round,
   const std::int64_t before = node.rejoins_completed();
   node.send_join_request(network_, static_cast<std::uint32_t>(platform),
                          round, mode);
-  tasks_[platform] = Task{.join = true};
+  tasks_[platform].emplace().join = true;
   if (recovery_) arm(platform);
   std::vector<StepEnd> ended;
   while (tasks_[platform]) pump(ended);

@@ -110,7 +110,10 @@ void postmortem(const std::string& reason) {
     // Successive failures get distinct files: first at the configured path,
     // later ones suffixed, so the dump that explains the FIRST error is
     // never overwritten by a cascade.
-    if (n > 0) path += "." + std::to_string(n);
+    if (n > 0) {
+      path += '.';
+      path += std::to_string(n);
+    }
     fr->dump_to_file(path, reason);
     SPLITMED_LOG(kError) << "flight recorder dumped to '" << path << "' ("
                          << reason << ")";
