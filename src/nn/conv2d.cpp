@@ -117,8 +117,12 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
       im2col(g, input.subspan(at((b0 + s) * image_elems), at(image_elems)),
              cols.subspan(at(s * ohw)), n);
     }
-    std::span<float> c = scratch.floats(out_c_ * most * ohw);
+    // With one sample per group, C is the sample's output plane.
+    std::span<float> c =
+        most == 1 ? out.subspan(at(b0 * out_elems), at(out_elems))
+                  : scratch.floats(out_c_ * most * ohw);
     gemm_nn_ep(out_c_, n, crk, weight_.value.data(), cols, c, ep);
+    if (most == 1) return;
     for (std::int64_t s = 0; s < gs; ++s) {
       for (std::int64_t oc = 0; oc < out_c_; ++oc) {
         std::copy_n(c.data() + oc * n + s * ohw, ohw,
@@ -159,12 +163,17 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                                std::int64_t most) {
     const std::int64_t gs = b1 - b0, n = gs * ohw;
     ws::WorkspaceScope scratch;
-    std::span<float> g_out = scratch.floats(out_c_ * most * ohw);
-    for (std::int64_t s = 0; s < gs; ++s) {
-      for (std::int64_t oc = 0; oc < out_c_; ++oc) {
-        std::copy_n(gd.data() + (b0 + s) * out_elems + oc * ohw, ohw,
-                    g_out.data() + oc * n + s * ohw);
+    // With one sample per group, the sample's plane is read in place.
+    std::span<const float> g_out = gd.subspan(at(b0 * out_elems), at(out_elems));
+    if (most > 1) {
+      std::span<float> gathered = scratch.floats(out_c_ * most * ohw);
+      for (std::int64_t s = 0; s < gs; ++s) {
+        for (std::int64_t oc = 0; oc < out_c_; ++oc) {
+          std::copy_n(gd.data() + (b0 + s) * out_elems + oc * ohw, ohw,
+                      gathered.data() + oc * n + s * ohw);
+        }
       }
+      g_out = gathered;
     }
     std::span<float> dcol = scratch.floats(crk * most * ohw);
     gemm_tn(crk, n, out_c_, weight_.value.data(), g_out, dcol);
