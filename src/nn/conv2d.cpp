@@ -13,6 +13,8 @@ namespace splitmed::nn {
 
 namespace {
 
+std::size_t at(std::int64_t i) { return static_cast<std::size_t>(i); }
+
 /// Splits [0, batch) into lowering groups and runs body(b0, b1, most) once
 /// per group, where `most` is the size of the largest group. There are
 /// enough groups to keep each within g.group_size() samples, and at least
@@ -101,7 +103,6 @@ void Conv2d::run_fused(std::span<const float> input, std::int64_t batch,
       input.size() >= static_cast<std::size_t>(batch * image_elems) &&
           out.size() >= static_cast<std::size_t>(batch * out_elems),
       name() << ": run_fused span too small");
-  const auto at = [](std::int64_t i) { return static_cast<std::size_t>(i); };
   // One GEMM per sample group: the group's samples lower side by side into
   // cols[crk, n = gs*ohw], and C[out_c, n] = ep(W · cols). Every C element
   // is the same k-ascending fold it is per sample; the epilogue (bias / bn
@@ -148,7 +149,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const std::int64_t image_elems = in_c_ * g.in_h * g.in_w;
   const std::int64_t out_elems = out_c_ * ohw;
   const std::int64_t wn = weight_.value.numel();
-  const auto at = [](std::int64_t i) { return static_cast<std::size_t>(i); };
   auto id = cached_input_.data();
   auto gd = grad_output.data();
   auto gi = grad_input.data();
@@ -164,7 +164,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     const std::int64_t gs = b1 - b0, n = gs * ohw;
     ws::WorkspaceScope scratch;
     // With one sample per group, the sample's plane is read in place.
-    std::span<const float> g_out = gd.subspan(at(b0 * out_elems), at(out_elems));
+    std::span<const float> g_out =
+        gd.subspan(at(b0 * out_elems), at(out_elems));
     if (most > 1) {
       std::span<float> gathered = scratch.floats(out_c_ * most * ohw);
       for (std::int64_t s = 0; s < gs; ++s) {
@@ -208,7 +209,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         db[c] = acc;
       }
       im2col(g, id.subspan(at(b * image_elems), at(image_elems)), col, ohw);
-      gemm_nt(out_c_, crk, ohw, g_out, col, dw_slabs.subspan(at(b * wn), at(wn)));
+      gemm_nt(out_c_, crk, ohw, g_out, col,
+              dw_slabs.subspan(at(b * wn), at(wn)));
     }
   });
 

@@ -45,8 +45,8 @@ void check_col_block(const ConvGeometry& g, std::size_t col_size,
   SPLITMED_CHECK(col_stride >= g.col_cols(),
                  who << ": col_stride " << col_stride << " < col_cols "
                      << g.col_cols());
-  SPLITMED_CHECK(col_size >= static_cast<std::size_t>(
-                                 (g.col_rows() - 1) * col_stride + g.col_cols()),
+  const std::int64_t need = (g.col_rows() - 1) * col_stride + g.col_cols();
+  SPLITMED_CHECK(col_size >= static_cast<std::size_t>(need),
                  who << ": col span too small");
 }
 

@@ -15,8 +15,9 @@
 namespace splitmed {
 
 /// Cap on a lowering group's column slab, [col_rows, g*col_cols] floats
-/// (1 MiB): big enough to fill the GEMM's NR-wide column panels when one
-/// image's out_h*out_w is a handful of columns, small enough to stay in L2.
+/// (1 MiB): room for enough images to fill the GEMM's NR-wide column panels
+/// when one image has only a handful of columns, while bounding each
+/// lane's scratch.
 inline constexpr std::int64_t kColSlabFloats = std::int64_t{1} << 18;
 
 struct ConvGeometry {
