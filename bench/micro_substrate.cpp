@@ -8,6 +8,7 @@
 // BENCH_substrate.json (see docs/PERFORMANCE.md).
 #include <benchmark/benchmark.h>
 
+#include <tuple>
 #include <utility>
 
 #include "src/common/rng.hpp"
@@ -239,6 +240,41 @@ void BM_ConvBackward_Server(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_ConvBackward_Server)->Apply(server_conv_args)->UseRealTime();
+
+// vgg-mini's three convs (3x3, pad 1) on paper-train's 16x16 scans:
+// 3->16 at 16x16, 16->32 at 8x8 and 32->64 at 4x4, at minibatches of 4
+// and 14 rows (s_k values of paper-train's hospitals), on 1 and 4
+// threads. The first is the large out_h*out_w case, where one sample's
+// weight-gradient fold is 256 steps deep.
+void vgg_conv_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"in", "out", "hw", "batch", "threads"});
+  for (const auto& [in, out, hw] :
+       {std::tuple{3, 16, 16}, {16, 32, 8}, {32, 64, 4}}) {
+    for (const int batch : {4, 14}) {
+      for (const int threads : {1, kLayerThreads}) {
+        b->Args({in, out, hw, batch, threads});
+      }
+    }
+  }
+}
+
+void BM_ConvBackward_Vgg(benchmark::State& state) {
+  const std::int64_t in = state.range(0), out = state.range(1);
+  const std::int64_t hw = state.range(2), batch = state.range(3);
+  set_global_threads(static_cast<int>(state.range(4)));
+  Rng rng(13);
+  nn::Conv2d conv(in, out, 3, 1, 1, rng);
+  const Tensor x = Tensor::normal(Shape{batch, in, hw, hw}, rng);
+  const Tensor y = conv.forward(x, true);
+  const Tensor g = Tensor::normal(y.shape(), rng);
+  for (auto _ : state) {
+    conv.zero_grad();
+    Tensor gi = conv.backward(g);
+    benchmark::DoNotOptimize(gi.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_ConvBackward_Vgg)->Apply(vgg_conv_args)->UseRealTime();
 
 void BM_LinearForward(benchmark::State& state) {
   set_global_threads(kLayerThreads);

@@ -15,6 +15,10 @@ namespace {
 
 std::size_t at(std::int64_t i) { return static_cast<std::size_t>(i); }
 
+// Minimum floats a chunk of the weight-gradient lowering moves before a
+// fork-join pays off.
+constexpr std::int64_t kLowerGrain = 16 * 1024;
+
 /// Splits [0, batch) into lowering groups and runs body(b0, b1, most) once
 /// per group, where `most` is the size of the largest group. There are
 /// enough groups to keep each within g.group_size() samples, and at least
@@ -148,7 +152,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
   const std::int64_t image_elems = in_c_ * g.in_h * g.in_w;
   const std::int64_t out_elems = out_c_ * ohw;
-  const std::int64_t wn = weight_.value.numel();
   auto id = cached_input_.data();
   auto gd = grad_output.data();
   auto gi = grad_input.data();
@@ -184,43 +187,54 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     }
   });
 
-  // Weight and bias gradients stay per sample: batching their k (= ohw)
-  // across samples would fold every sample into one sum and change the
-  // float grouping. Per-sample slabs are checked out of the CALLING
-  // thread's arena so they survive the parallel region below; workers fill
-  // disjoint slabs, then one serial pass reduces them in ascending sample
-  // order — the identical float grouping to a serial batch loop, so the
-  // result is bitwise thread-invariant.
-  //  - bias slab: spatial sums per channel;
-  //  - weight slab: dW_b = g_out[out_c, ohw] · colᵀ[ohw, crk]  (gemm_nt).
-  ws::WorkspaceScope slabs;
-  std::span<float> dw_slabs = slabs.floats(batch * wn);
-  std::span<float> db_slabs = slabs.floats(batch * out_c_);
-  parallel_for(0, batch, 1, [&](std::int64_t b0, std::int64_t b1) {
-    ws::WorkspaceScope scratch;
-    std::span<float> col = scratch.floats(crk * ohw);
-    for (std::int64_t b = b0; b < b1; ++b) {
-      auto g_out = gd.subspan(at(b * out_elems), at(out_elems));
-      float* db = db_slabs.data() + b * out_c_;
-      for (std::int64_t c = 0; c < out_c_; ++c) {
-        const float* plane = g_out.data() + c * ohw;
-        float acc = plane[0];
-        for (std::int64_t i = 1; i < ohw; ++i) acc += plane[i];
-        db[c] = acc;
+  // Weight and bias gradients, one segmented accumulating GEMM per
+  // lowering group, groups in ascending sample order. A group's samples
+  // lower side by side into cols[crk, n = gs*ohw] as in forward, its
+  // grad_output planes gather into g_out[out_c, n] as above, and
+  // gemm_nt_acc adds each sample's k = ohw fold to wg in sample order:
+  // wg = ((wg + dW_b0) + dW_b0+1) + ..., bitwise the per-sample sum for
+  // any thread count. Each bg[oc] gets the sample's spatial sum, in the
+  // same order. Both loops below split by channel, so chunks write
+  // disjoint rows.
+  const std::int64_t gmax = std::min(batch, g.group_size());
+  const std::int64_t taps = g.kernel_h * g.kernel_w;
+  const std::int64_t plane = g.in_h * g.in_w;
+  ws::WorkspaceScope scratch;
+  std::span<float> cols = scratch.floats(crk * gmax * ohw);
+  std::span<float> gathered =
+      gmax > 1 ? scratch.floats(out_c_ * gmax * ohw) : std::span<float>{};
+  for (std::int64_t b0 = 0; b0 < batch; b0 += gmax) {
+    const std::int64_t gs = std::min(gmax, batch - b0), n = gs * ohw;
+    // Input channel c fills only col rows [c*taps, (c+1)*taps) of every
+    // sample's column block, so a channel range lowers as a narrower
+    // geometry over its slice of the planes.
+    parallel_for(0, in_c_, std::max<std::int64_t>(1, kLowerGrain / (taps * n)),
+                 [&](std::int64_t c0, std::int64_t c1) {
+      ConvGeometry sub = g;
+      sub.channels = c1 - c0;
+      for (std::int64_t s = 0; s < gs; ++s) {
+        im2col(sub,
+               id.subspan(at((b0 + s) * image_elems + c0 * plane),
+                          at((c1 - c0) * plane)),
+               cols.subspan(at(c0 * taps * n + s * ohw)), n);
       }
-      im2col(g, id.subspan(at(b * image_elems), at(image_elems)), col, ohw);
-      gemm_nt(out_c_, crk, ohw, g_out, col,
-              dw_slabs.subspan(at(b * wn), at(wn)));
-    }
-  });
-
-  // Serial, sample-ascending reduction: wg/bg see the same addends in the
-  // same order for every thread count.
-  for (std::int64_t b = 0; b < batch; ++b) {
-    const float* db = db_slabs.data() + b * out_c_;
-    for (std::int64_t c = 0; c < out_c_; ++c) bg[c] += db[c];
-    const float* dw = dw_slabs.data() + b * wn;
-    for (std::int64_t i = 0; i < wn; ++i) wg[i] += dw[i];
+    });
+    parallel_for(0, out_c_, std::max<std::int64_t>(1, kLowerGrain / n),
+                 [&](std::int64_t o0, std::int64_t o1) {
+      for (std::int64_t oc = o0; oc < o1; ++oc) {
+        for (std::int64_t s = 0; s < gs; ++s) {
+          const float* src = gd.data() + (b0 + s) * out_elems + oc * ohw;
+          if (gs > 1) std::copy_n(src, ohw, gathered.data() + oc * n + s * ohw);
+          float acc = src[0];
+          for (std::int64_t i = 1; i < ohw; ++i) acc += src[i];
+          bg[oc] += acc;
+        }
+      }
+    });
+    std::span<const float> g_out =
+        gs > 1 ? std::span<const float>(gathered)
+               : gd.subspan(at(b0 * out_elems), at(out_elems));
+    gemm_nt_acc(out_c_, crk, ohw, gs, g_out, cols, wg);
   }
   return grad_input;
 }

@@ -21,8 +21,9 @@ class Conv2d final : public Layer {
   /// Caches the input and runs the GEMM with a bias-only epilogue — the
   /// same kernel every forward and infer of this layer goes through.
   Tensor forward(const Tensor& input, bool training) override;
-  /// The input gradient runs one gemm_tn per sample group; dW and db stay
-  /// per-sample slabs reduced in ascending sample order.
+  /// The input gradient runs one gemm_tn per sample group; dW is one
+  /// gemm_nt_acc per group, adding each sample's fold to the gradient in
+  /// ascending sample order, and db adds per-sample sums in that order.
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }

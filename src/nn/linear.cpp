@@ -5,7 +5,6 @@
 #include "src/common/error.hpp"
 #include "src/nn/init.hpp"
 #include "src/tensor/gemm.hpp"
-#include "src/tensor/workspace.hpp"
 
 namespace splitmed::nn {
 
@@ -61,17 +60,12 @@ Tensor Linear::backward(const Tensor& grad_output) {
   SPLITMED_CHECK(cached_input_.shape().rank() == 2,
                  "Linear backward before forward");
   // dW += gᵀ·x : [out,b]·[b,in]; db += column sums of g; dx = g·W.
-  // The dW product lands in workspace scratch instead of a fresh Tensor —
-  // no heap allocation in steady state. Adding it elementwise matches the
-  // old axpy(1.0F, ...) bitwise (1.0f * x == x exactly).
+  // dW is one accumulating GEMM straight into the gradient: one segment
+  // of k = batch steps, so each element becomes wg + fold, bitwise what
+  // gemm_tn into scratch followed by an elementwise add gives.
   const std::int64_t batch = grad_shape.dim(0);
-  {
-    ws::WorkspaceScope scratch;
-    std::span<float> dw = scratch.floats(out_ * in_);
-    gemm_tn(out_, in_, batch, grad_output.data(), cached_input_.data(), dw);
-    auto wg = weight_.grad.data();
-    for (std::int64_t i = 0; i < out_ * in_; ++i) wg[i] += dw[i];
-  }
+  gemm_tn_acc(out_, in_, batch, 1, grad_output.data(), cached_input_.data(),
+              weight_.grad.data());
   auto bg = bias_.grad.data();
   for (std::int64_t r = 0; r < batch; ++r) {
     const float* row = grad_output.data().data() + r * out_;

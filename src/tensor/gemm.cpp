@@ -15,6 +15,10 @@
 // accumulator per element. Results are bitwise identical for any thread
 // count and any dispatched ISA variant; gemm_test asserts this against the
 // reference.
+//
+// The accumulating *_acc drivers (gemm_acc_packed) add one such fold per k
+// segment onto C's old value, segments in ascending order; they split C's
+// tiles, not its rows, over threads and walk k in cache-sized chunks.
 #include "src/tensor/gemm.hpp"
 
 #include <algorithm>
@@ -130,57 +134,93 @@ void apply_epilogue_full(std::int64_t m, std::int64_t n, float* c,
 enum class AKind { kNormal, kTransposed };
 enum class BKind { kNormal, kTransposed };
 
-/// Packs all of B into ceil(n/NR) panels; panel jp holds columns
-/// [jp*NR, jp*NR+NR) as k-major rows of NR interleaved floats, tail columns
-/// zero-padded so the micro-kernel never branches on column bounds.
-void pack_b(BKind kind, std::int64_t n, std::int64_t k, const float* b,
+/// Packs B panels [p0, p1) over the k steps [k0, k0 + kc) of a k-step B;
+/// panel jp holds columns [jp*NR, jp*NR+NR) as kc k-major rows of NR
+/// interleaved floats at bp + (jp - p0)*kc*NR, tail columns zero-padded so
+/// the micro-kernel never branches on column bounds.
+void pack_b(BKind kind, std::int64_t n, std::int64_t k, std::int64_t k0,
+            std::int64_t kc, const float* b, std::int64_t p0, std::int64_t p1,
             std::int64_t nr_max, float* bp) {
-  const std::int64_t panels = (n + nr_max - 1) / nr_max;
-  for (std::int64_t jp = 0; jp < panels; ++jp) {
+  for (std::int64_t jp = p0; jp < p1; ++jp) {
     const std::int64_t j0 = jp * nr_max;
     const std::int64_t nr = std::min(nr_max, n - j0);
-    float* dst = bp + jp * k * nr_max;
+    float* dst = bp + (jp - p0) * kc * nr_max;
     if (kind == BKind::kNormal) {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* src = b + kk * n + j0;
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* src = b + (k0 + kk) * n + j0;
         float* d = dst + kk * nr_max;
         for (std::int64_t j = 0; j < nr; ++j) d[j] = src[j];
         for (std::int64_t j = nr; j < nr_max; ++j) d[j] = 0.0F;
       }
     } else {
-      for (std::int64_t j = 0; j < nr; ++j) {
-        const float* src = b + (j0 + j) * k;
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * nr_max + j] = src[kk];
+      // Four source rows at a time, so each k step stores four adjacent
+      // floats instead of one.
+      std::int64_t j = 0;
+      for (; j + 4 <= nr; j += 4) {
+        const float* s0 = b + (j0 + j) * k + k0;
+        const float* s1 = s0 + k;
+        const float* s2 = s1 + k;
+        const float* s3 = s2 + k;
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          float* d = dst + kk * nr_max + j;
+          d[0] = s0[kk];
+          d[1] = s1[kk];
+          d[2] = s2[kk];
+          d[3] = s3[kk];
+        }
       }
-      for (std::int64_t j = nr; j < nr_max; ++j) {
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * nr_max + j] = 0.0F;
+      for (; j < nr; ++j) {
+        const float* src = b + (j0 + j) * k + k0;
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          dst[kk * nr_max + j] = src[kk];
+        }
+      }
+      for (j = nr; j < nr_max; ++j) {
+        for (std::int64_t kk = 0; kk < kc; ++kk) dst[kk * nr_max + j] = 0.0F;
       }
     }
   }
 }
 
-/// Packs A rows [r0, r1) into ceil((r1-r0)/MR) blocks; block ib holds rows
-/// [r0+ib*MR, +MR) as k-major groups of MR interleaved floats, tail rows
-/// zero-padded.
-void pack_a(AKind kind, std::int64_t m, std::int64_t k, const float* a,
-            std::int64_t r0, std::int64_t r1, std::int64_t mr_max,
-            float* ap) {
+/// Packs A rows [r0, r1) over the k steps [k0, k0 + kc) of a k-step A into
+/// ceil((r1-r0)/MR) blocks; block ib holds rows [r0+ib*MR, +MR) as kc
+/// k-major groups of MR interleaved floats, tail rows zero-padded.
+void pack_a(AKind kind, std::int64_t m, std::int64_t k, std::int64_t k0,
+            std::int64_t kc, const float* a, std::int64_t r0, std::int64_t r1,
+            std::int64_t mr_max, float* ap) {
   const std::int64_t blocks = (r1 - r0 + mr_max - 1) / mr_max;
   for (std::int64_t ib = 0; ib < blocks; ++ib) {
     const std::int64_t i0 = r0 + ib * mr_max;
     const std::int64_t mr = std::min(mr_max, r1 - i0);
-    float* dst = ap + ib * k * mr_max;
+    float* dst = ap + ib * kc * mr_max;
     if (kind == AKind::kNormal) {
-      for (std::int64_t r = 0; r < mr; ++r) {
-        const float* src = a + (i0 + r) * k;
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * mr_max + r] = src[kk];
+      // Four source rows at a time, as in pack_b.
+      std::int64_t r = 0;
+      for (; r + 4 <= mr; r += 4) {
+        const float* s0 = a + (i0 + r) * k + k0;
+        const float* s1 = s0 + k;
+        const float* s2 = s1 + k;
+        const float* s3 = s2 + k;
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          float* d = dst + kk * mr_max + r;
+          d[0] = s0[kk];
+          d[1] = s1[kk];
+          d[2] = s2[kk];
+          d[3] = s3[kk];
+        }
       }
-      for (std::int64_t r = mr; r < mr_max; ++r) {
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk * mr_max + r] = 0.0F;
+      for (; r < mr; ++r) {
+        const float* src = a + (i0 + r) * k + k0;
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          dst[kk * mr_max + r] = src[kk];
+        }
+      }
+      for (r = mr; r < mr_max; ++r) {
+        for (std::int64_t kk = 0; kk < kc; ++kk) dst[kk * mr_max + r] = 0.0F;
       }
     } else {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* src = a + kk * m + i0;
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* src = a + (k0 + kk) * m + i0;
         float* d = dst + kk * mr_max;
         for (std::int64_t r = 0; r < mr; ++r) d[r] = src[r];
         for (std::int64_t r = mr; r < mr_max; ++r) d[r] = 0.0F;
@@ -203,13 +243,13 @@ void gemm_packed(AKind ak, BKind bk, std::int64_t m, std::int64_t n,
   // pool's fork ordering publishes it before any chunk runs.
   ws::WorkspaceScope bscope;
   float* bp = bscope.floats(checked_mul(panels * nr_max, k)).data();
-  pack_b(bk, n, k, b, nr_max, bp);
+  pack_b(bk, n, k, 0, k, b, 0, panels, nr_max, bp);
   parallel_for(0, m, row_grain(n, k), [&](std::int64_t r0, std::int64_t r1) {
     // Each chunk packs its rows of A into its own thread's arena.
     ws::WorkspaceScope ascope;
     const std::int64_t blocks = (r1 - r0 + mr_max - 1) / mr_max;
     float* ap = ascope.floats(checked_mul(blocks * mr_max, k)).data();
-    pack_a(ak, m, k, a, r0, r1, mr_max, ap);
+    pack_a(ak, m, k, 0, k, a, r0, r1, mr_max, ap);
     // A block (k*MR floats) stays hot in L1 while the B panels stream by.
     for (std::int64_t ib = 0; ib < blocks; ++ib) {
       const std::int64_t i0 = r0 + ib * mr_max;
@@ -223,6 +263,121 @@ void gemm_packed(AKind ak, BKind bk, std::int64_t m, std::int64_t n,
       }
     }
   });
+}
+
+/// Target k steps per cache block of the accumulating driver. A chunk of
+/// kAccKc steps keeps one NR-wide B panel (NR*kAccKc floats, 32 KiB at
+/// AVX-512's NR = 32) in L1 while the lane's A blocks stream by. Once one
+/// segment is that deep (vgg-mini's 16x16 conv, 256 steps per sample) a
+/// chunk is one segment: the per-sample GEMM without its product slab.
+constexpr std::int64_t kAccKc = 256;
+
+/// A lane grid over C's (MR block × NR panel) tiles: lane (ir, ic) owns the
+/// tiles of row-block band ir and panel band ic.
+struct TileGrid {
+  std::int64_t rows = 1;
+  std::int64_t cols = 1;
+};
+
+/// Uses as many lanes as the pool offers and the work pays for (each lane
+/// gets >= kParallelFlops multiply-adds), never more than there are tiles.
+/// Among grids with that many lanes it picks the one that repacks least:
+/// every grid row packs its own copy of B's k steps for its panels, every
+/// grid column its own copy of A's.
+TileGrid tile_grid(std::int64_t blocks, std::int64_t panels, std::int64_t m,
+                   std::int64_t n, std::int64_t k) {
+  const std::int64_t pool = in_parallel_region() ? 1 : global_threads();
+  const double pays = static_cast<double>(m) * static_cast<double>(n) *
+                      static_cast<double>(k) / kParallelFlops;
+  const std::int64_t lanes =
+      pays >= static_cast<double>(pool)
+          ? pool
+          : std::max<std::int64_t>(1, static_cast<std::int64_t>(pays));
+  TileGrid best;
+  std::int64_t best_used = 1, best_cost = n + m;
+  for (std::int64_t rows = 1; rows <= std::min(lanes, blocks); ++rows) {
+    const std::int64_t cols = std::min(panels, lanes / rows);
+    const std::int64_t used = rows * cols;
+    const std::int64_t cost = rows * n + cols * m;
+    if (used > best_used || (used == best_used && cost < best_cost)) {
+      best = {rows, cols};
+      best_used = used;
+      best_cost = cost;
+    }
+  }
+  return best;
+}
+
+/// The accumulating driver behind gemm_nt_acc/gemm_tn_acc. Preconditions:
+/// m, n, seg_len, segs >= 1 and spans validated.
+///
+/// One fork splits C's (MR block × NR panel) tiles over a TileGrid, and
+/// each lane packs only the A rows and B panels its tiles use. K is walked
+/// in chunks of whole segments, about kAccKc steps each: the lane packs a
+/// chunk's k range and runs all its tiles over it before the next, so the
+/// chunk's panels stay cache-resident (the Goto kc loop) and every element
+/// still sees its segments in ascending order. No tile's k range is split
+/// across lanes, so the result is the same bits for any thread count.
+void gemm_acc_packed(AKind ak, BKind bk, std::int64_t m, std::int64_t n,
+                     std::int64_t seg_len, std::int64_t segs, const float* a,
+                     const float* b, float* c) {
+  const gemmk::MicroKernel& mk = gemmk::active_kernel();
+  const std::int64_t mr_max = mk.block_rows;
+  const std::int64_t nr_max = mk.panel_cols;
+  const std::int64_t k = seg_len * segs;
+  const std::int64_t blocks = (m + mr_max - 1) / mr_max;
+  const std::int64_t panels = (n + nr_max - 1) / nr_max;
+  const std::int64_t chunk_segs = std::max<std::int64_t>(1, kAccKc / seg_len);
+  const std::int64_t kc_max = std::min(segs, chunk_segs) * seg_len;
+  const TileGrid grid = tile_grid(blocks, panels, m, n, k);
+  parallel_for(0, grid.rows * grid.cols, 1,
+               [&](std::int64_t l0, std::int64_t l1) {
+    for (std::int64_t lane = l0; lane < l1; ++lane) {
+      const std::int64_t ir = lane / grid.cols, ic = lane % grid.cols;
+      const std::int64_t b0 = ir * blocks / grid.rows;
+      const std::int64_t b1 = (ir + 1) * blocks / grid.rows;
+      const std::int64_t p0 = ic * panels / grid.cols;
+      const std::int64_t p1 = (ic + 1) * panels / grid.cols;
+      const std::int64_t r0 = b0 * mr_max, r1 = std::min(m, b1 * mr_max);
+      ws::WorkspaceScope scope;
+      float* ap = scope.floats(checked_mul((b1 - b0) * mr_max, kc_max)).data();
+      float* bp = scope.floats(checked_mul((p1 - p0) * nr_max, kc_max)).data();
+      for (std::int64_t s0 = 0; s0 < segs; s0 += chunk_segs) {
+        const std::int64_t cs = std::min(chunk_segs, segs - s0);
+        const std::int64_t k0 = s0 * seg_len, kc = cs * seg_len;
+        pack_a(ak, m, k, k0, kc, a, r0, r1, mr_max, ap);
+        pack_b(bk, n, k, k0, kc, b, p0, p1, nr_max, bp);
+        // Each B panel stays in L1 while the lane's A blocks stream by.
+        for (std::int64_t jp = p0; jp < p1; ++jp) {
+          const std::int64_t j0 = jp * nr_max;
+          const std::int64_t nr = std::min(nr_max, n - j0);
+          const float* bpanel = bp + (jp - p0) * kc * nr_max;
+          for (std::int64_t ib = b0; ib < b1; ++ib) {
+            const std::int64_t i0 = ib * mr_max;
+            mk.acc_fn(seg_len, cs, ap + (ib - b0) * kc * mr_max, bpanel,
+                      c + i0 * n + j0, n, std::min(mr_max, m - i0), nr);
+          }
+        }
+      }
+    }
+  });
+}
+
+/// Validates an accumulating call and settles its degenerate shapes:
+/// nothing to do when m, n or segs is zero; with seg_len == 0 every
+/// segment's fold is the empty fold +0, and c + 0 + 0 == c + 0, so C
+/// gets one `c = c + 0`. Returns true when the call is fully handled.
+bool handle_acc(std::int64_t m, std::int64_t n, std::int64_t seg_len,
+                std::int64_t segs, std::size_t a, std::size_t b,
+                std::span<float> c) {
+  SPLITMED_CHECK(seg_len >= 0 && segs >= 0, "gemm: negative segment count");
+  check_sizes(m, n, checked_mul(seg_len, segs), a, b, c.size());
+  if (m <= 0 || n <= 0 || segs <= 0) return true;
+  if (seg_len == 0) {
+    for (float& x : c.first(static_cast<std::size_t>(m * n))) x = x + 0.0F;
+    return true;
+  }
+  return false;
 }
 
 /// Picks the widest micro-kernel this CPU supports; SPLITMED_GEMM_ISA
@@ -309,6 +464,24 @@ void gemm_nt_ep(std::int64_t m, std::int64_t n, std::int64_t k,
   }
   gemm_packed(AKind::kNormal, BKind::kTransposed, m, n, k, a.data(), b.data(),
               c.data(), &ep);
+}
+
+void gemm_nt_acc(std::int64_t m, std::int64_t n, std::int64_t seg_len,
+                 std::int64_t segs, std::span<const float> a,
+                 std::span<const float> b, std::span<float> c) {
+  const GemmTimer timer;
+  if (handle_acc(m, n, seg_len, segs, a.size(), b.size(), c)) return;
+  gemm_acc_packed(AKind::kNormal, BKind::kTransposed, m, n, seg_len, segs,
+                  a.data(), b.data(), c.data());
+}
+
+void gemm_tn_acc(std::int64_t m, std::int64_t n, std::int64_t seg_len,
+                 std::int64_t segs, std::span<const float> a,
+                 std::span<const float> b, std::span<float> c) {
+  const GemmTimer timer;
+  if (handle_acc(m, n, seg_len, segs, a.size(), b.size(), c)) return;
+  gemm_acc_packed(AKind::kTransposed, BKind::kNormal, m, n, seg_len, segs,
+                  a.data(), b.data(), c.data());
 }
 
 // ---------------------------------------------------------------------------

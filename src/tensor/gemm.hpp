@@ -1,8 +1,10 @@
 // Packed, register-blocked single-precision GEMM kernels on raw spans.
 // ops::matmul* wrap these with shape checking; nn::Conv2d uses them via
-// im2col. See docs/PERFORMANCE.md for the kernel design and the bitwise-
-// determinism contract (identical results for any thread count and any
-// micro-kernel ISA variant, bitwise equal to the *_ref kernels below).
+// im2col, and the layers' weight gradients accumulate through the
+// segmented *_acc drivers. See docs/PERFORMANCE.md for the kernel design
+// and the bitwise-determinism contract (identical results for any thread
+// count and any micro-kernel ISA variant, bitwise equal to the *_ref
+// kernels below).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +43,25 @@ void gemm_nn_ep(std::int64_t m, std::int64_t n, std::int64_t k,
 void gemm_nt_ep(std::int64_t m, std::int64_t n, std::int64_t k,
                 std::span<const float> a, std::span<const float> b,
                 std::span<float> c, const gemmk::Epilogue& ep);
+
+/// Segmented, accumulating C[m,n] += A[m,k] * B[n,k]^T with
+/// k = seg_len * segs, cut into `segs` segments of seg_len steps. Each C
+/// element becomes
+///   ((c + fold_0) + fold_1) + ... + fold_{segs-1}
+/// where fold_s is gemm_nt's write-first, k-ascending fold over segment s
+/// alone: bitwise what a gemm_nt per segment into scratch followed by
+/// `c = c + scratch` in segment order produces, for any thread count and
+/// ISA variant. Conv2d folds a sample group's weight gradient this way,
+/// one segment per sample. With seg_len == 0 every fold is +0.
+void gemm_nt_acc(std::int64_t m, std::int64_t n, std::int64_t seg_len,
+                 std::int64_t segs, std::span<const float> a,
+                 std::span<const float> b, std::span<float> c);
+
+/// gemm_nt_acc with A stored transposed: C[m,n] += A[k,m]^T * B[k,n], the
+/// same per-segment fold as gemm_tn (Linear's weight gradient).
+void gemm_tn_acc(std::int64_t m, std::int64_t n, std::int64_t seg_len,
+                 std::int64_t segs, std::span<const float> a,
+                 std::span<const float> b, std::span<float> c);
 
 /// Serial naive reference kernels: the strict k-ascending, write-first left
 /// fold that the packed kernels above must reproduce BITWISE (asserted

@@ -3,7 +3,9 @@
 // The packed GEMM path (src/tensor/gemm.cpp) splits C into MR×NR tiles and
 // computes each tile from a packed A panel (MR-column-interleaved) and a
 // packed B panel (NR-row-interleaved) with one register accumulator per C
-// element. The micro-kernel is the only ISA-sensitive code: each variant
+// element. Weight gradients use a second, accumulating entry (AccKernelFn)
+// that adds one fresh fold per k segment onto C's old value. The
+// micro-kernels are the only ISA-sensitive code: each variant
 // below is compiled in its own translation unit with wider vector flags
 // (see src/tensor/CMakeLists.txt) and contains NOTHING but raw-pointer
 // arithmetic — no headers whose inline functions could leak wider-ISA code
@@ -61,9 +63,24 @@ using MicroKernelFn = void (*)(std::int64_t k, const float* ap,
                                const Epilogue* ep, std::int64_t i0,
                                std::int64_t j0);
 
+/// Segmented, accumulating variant of MicroKernelFn: the packed panels
+/// hold k = seg_len*segs steps (seg_len, segs >= 1) cut into `segs`
+/// segments of seg_len steps each. For every live element the kernel
+/// computes
+///   C = ((C + fold_0) + fold_1) + ... + fold_{segs-1}
+/// where fold_s is micro_kernel's write-first, k-ascending fold over
+/// segment s alone, and C's old value is the first operand of every add.
+/// C is read once and written once per call; only the live mr×nr corner
+/// is touched.
+using AccKernelFn = void (*)(std::int64_t seg_len, std::int64_t segs,
+                             const float* ap, const float* bp, float* c,
+                             std::int64_t ldc, std::int64_t mr,
+                             std::int64_t nr);
+
 /// One compiled variant plus the panel geometry its packing must use.
 struct MicroKernel {
   MicroKernelFn fn = nullptr;
+  AccKernelFn acc_fn = nullptr;
   std::int64_t block_rows = 0;  ///< MR: A-panel interleave width.
   std::int64_t panel_cols = 0;  ///< NR: B-panel interleave width.
   const char* isa = "";

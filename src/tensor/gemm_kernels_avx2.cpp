@@ -13,7 +13,9 @@
 
 namespace splitmed::gemmk {
 
-MicroKernel avx2_kernel() { return {&micro_kernel, kMR, kNR, kIsaName}; }
+MicroKernel avx2_kernel() {
+  return {&micro_kernel, &acc_kernel, kMR, kNR, kIsaName};
+}
 
 }  // namespace splitmed::gemmk
 

@@ -14,7 +14,9 @@
 
 namespace splitmed::gemmk {
 
-MicroKernel avx512_kernel() { return {&micro_kernel, kMR, kNR, kIsaName}; }
+MicroKernel avx512_kernel() {
+  return {&micro_kernel, &acc_kernel, kMR, kNR, kIsaName};
+}
 
 }  // namespace splitmed::gemmk
 

@@ -6,6 +6,8 @@
 
 namespace splitmed::gemmk {
 
-MicroKernel base_kernel() { return {&micro_kernel, kMR, kNR, "base"}; }
+MicroKernel base_kernel() {
+  return {&micro_kernel, &acc_kernel, kMR, kNR, "base"};
+}
 
 }  // namespace splitmed::gemmk

@@ -82,10 +82,12 @@ inline VecF vload(const float* p) {
 }
 inline void vstore(float* p, VecF v) { *reinterpret_cast<VecF*>(p) = v; }
 
-void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
-                  std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-                  const Epilogue* ep, std::int64_t i0, std::int64_t j0) {
-  VecF acc[kMR][kNV];
+// The write-first, k-ascending fold of one full MR×NR tile over k >= 1
+// packed steps. micro_kernel and acc_kernel both compute every product
+// through this one body, so an element's fold is the same op sequence in
+// either kernel.
+__attribute__((always_inline)) inline void fold_tile(
+    std::int64_t k, const float* ap, const float* bp, VecF (&acc)[kMR][kNV]) {
   for (int r = 0; r < kMR; ++r) {
     const VecF ar = vsplat(ap[r]);
     for (int v = 0; v < kNV; ++v) acc[r][v] = ar * vload(bp + v * kW);
@@ -100,6 +102,13 @@ void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
       for (int v = 0; v < kNV; ++v) acc[r][v] += ar * bv[v];
     }
   }
+}
+
+void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
+                  std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+                  const Epilogue* ep, std::int64_t i0, std::int64_t j0) {
+  VecF acc[kMR][kNV];
+  fold_tile(k, ap, bp, acc);
   if (mr == kMR && nr == kNR) {
     if (ep == nullptr) {
       for (int r = 0; r < kMR; ++r) {
@@ -165,16 +174,55 @@ void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
   }
 }
 
+// Segmented accumulation (AccKernelFn): the C tile is loaded into
+// registers once, each segment's fold is computed fresh by fold_tile and
+// added as `tot = tot + acc` (C's old value first), and the tile is stored
+// once. An edge tile never touches C past its live mr×nr corner: the
+// corner is copied into the zero-padded `tmp` spill, which the vectors
+// load and store instead.
+void acc_kernel(std::int64_t seg_len, std::int64_t segs, const float* ap,
+                const float* bp, float* c, std::int64_t ldc, std::int64_t mr,
+                std::int64_t nr) {
+  const bool full = mr == kMR && nr == kNR;
+  float tmp[kMR][kNR];
+  float* t = full ? c : &tmp[0][0];
+  const std::int64_t ldt = full ? ldc : kNR;
+  if (!full) {
+    for (std::int64_t r = 0; r < kMR; ++r) {
+      for (std::int64_t j = 0; j < kNR; ++j) {
+        tmp[r][j] = (r < mr && j < nr) ? c[r * ldc + j] : 0.0F;
+      }
+    }
+  }
+  VecF tot[kMR][kNV];
+  for (int r = 0; r < kMR; ++r) {
+    for (int v = 0; v < kNV; ++v) tot[r][v] = vload(t + r * ldt + v * kW);
+  }
+  for (std::int64_t s = 0; s < segs; ++s) {
+    VecF acc[kMR][kNV];
+    fold_tile(seg_len, ap + s * seg_len * kMR, bp + s * seg_len * kNR, acc);
+    for (int r = 0; r < kMR; ++r) {
+      for (int v = 0; v < kNV; ++v) tot[r][v] = tot[r][v] + acc[r][v];
+    }
+  }
+  for (int r = 0; r < kMR; ++r) {
+    for (int v = 0; v < kNV; ++v) vstore(t + r * ldt + v * kW, tot[r][v]);
+  }
+  if (!full) {
+    for (std::int64_t r = 0; r < mr; ++r) {
+      for (std::int64_t j = 0; j < nr; ++j) c[r * ldc + j] = tmp[r][j];
+    }
+  }
+}
+
 #else  // portable scalar fallback, same fold
 
 constexpr const char* kIsaName = "scalar";
 constexpr int kMR = 4;
 constexpr int kNR = 8;
 
-void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
-                  std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-                  const Epilogue* ep, std::int64_t i0, std::int64_t j0) {
-  float acc[kMR][kNR];
+void fold_tile(std::int64_t k, const float* ap, const float* bp,
+               float (&acc)[kMR][kNR]) {
   for (int r = 0; r < kMR; ++r) {
     const float ar = ap[r];
     for (int j = 0; j < kNR; ++j) acc[r][j] = ar * bp[j];
@@ -187,12 +235,38 @@ void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
       for (int j = 0; j < kNR; ++j) acc[r][j] += ar * b[j];
     }
   }
+}
+
+void micro_kernel(std::int64_t k, const float* ap, const float* bp, float* c,
+                  std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+                  const Epilogue* ep, std::int64_t i0, std::int64_t j0) {
+  float acc[kMR][kNR];
+  fold_tile(k, ap, bp, acc);
   for (std::int64_t r = 0; r < mr; ++r) {
     for (std::int64_t j = 0; j < nr; ++j) {
       c[r * ldc + j] = (ep != nullptr)
                            ? epilogue_apply(acc[r][j], *ep, i0 + r, j0 + j)
                            : acc[r][j];
     }
+  }
+}
+
+void acc_kernel(std::int64_t seg_len, std::int64_t segs, const float* ap,
+                const float* bp, float* c, std::int64_t ldc, std::int64_t mr,
+                std::int64_t nr) {
+  float tot[kMR][kNR] = {};
+  for (std::int64_t r = 0; r < mr; ++r) {
+    for (std::int64_t j = 0; j < nr; ++j) tot[r][j] = c[r * ldc + j];
+  }
+  for (std::int64_t s = 0; s < segs; ++s) {
+    float acc[kMR][kNR];
+    fold_tile(seg_len, ap + s * seg_len * kMR, bp + s * seg_len * kNR, acc);
+    for (int r = 0; r < kMR; ++r) {
+      for (int j = 0; j < kNR; ++j) tot[r][j] = tot[r][j] + acc[r][j];
+    }
+  }
+  for (std::int64_t r = 0; r < mr; ++r) {
+    for (std::int64_t j = 0; j < nr; ++j) c[r * ldc + j] = tot[r][j];
   }
 }
 

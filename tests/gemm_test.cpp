@@ -327,6 +327,97 @@ TEST(GemmEpilogue, NegativeZeroAndNanFollowScalarRelu) {
   EXPECT_EQ(c[0], 1.0F);
 }
 
+// The accumulating drivers against a test-local reference: the per-segment
+// reference fold into scratch, then a serial `c = c + r` onto C in segment
+// order. C starts random and nonzero, with -0.0 entries: -0.0 + +0.0 is
+// +0.0 but -0.0 + -0.0 stays -0.0, so a kernel that dropped C's old value
+// or reseeded it shows. m and n are not multiples of MR or NR, so every
+// call has edge tiles.
+void acc_ref(bool a_transposed, std::int64_t m, std::int64_t n,
+             std::int64_t seg_len, std::int64_t segs,
+             const std::vector<float>& a, const std::vector<float>& b,
+             std::vector<float>& c) {
+  const auto at = [](std::int64_t v) { return static_cast<std::size_t>(v); };
+  const std::int64_t k = seg_len * segs;
+  std::vector<float> as(at(m * seg_len)), bs(at(n * seg_len)), r(at(m * n));
+  for (std::int64_t s = 0; s < segs; ++s) {
+    for (std::int64_t kk = 0; kk < seg_len; ++kk) {
+      const std::int64_t kg = s * seg_len + kk;  // global k step
+      for (std::int64_t i = 0; i < m; ++i) {
+        as[at(i * seg_len + kk)] =
+            a_transposed ? a[at(kg * m + i)] : a[at(i * k + kg)];
+      }
+      for (std::int64_t j = 0; j < n; ++j) {
+        bs[at(j * seg_len + kk)] =
+            a_transposed ? b[at(kg * n + j)] : b[at(j * k + kg)];
+      }
+    }
+    gemm_nt_ref(m, n, seg_len, as, bs, r);
+    for (std::size_t e = 0; e < c.size(); ++e) c[e] = c[e] + r[e];
+  }
+}
+
+TEST(GemmAccumulate, SegmentedFoldMatchesReferenceBitwise) {
+  PoolGuard guard;
+  const std::int64_t ms[] = {1, 7, 37};
+  const std::int64_t ns[] = {5, 33, 70};
+  for (const int threads : {1, 2, 8}) {
+    set_global_threads(threads);
+    for (const std::int64_t seg_len : {1, 2, 4, 16, 64, 256}) {
+      for (const std::int64_t segs : {1, 2, 3, 17}) {
+        for (const std::int64_t m : ms) {
+          for (const std::int64_t n : ns) {
+            const std::int64_t k = seg_len * segs;
+            Rng rng(static_cast<std::uint64_t>(
+                ((seg_len * 131 + segs) * 131 + m) * 131 + n));
+            std::vector<float> a(static_cast<std::size_t>(m * k));
+            std::vector<float> b(static_cast<std::size_t>(n * k));
+            std::vector<float> c0(static_cast<std::size_t>(m * n));
+            for (auto& v : a) v = rng.normal();
+            for (auto& v : b) v = rng.normal();
+            for (auto& v : c0) v = rng.normal();
+            for (std::size_t e = 0; e < c0.size(); e += 3) c0[e] = -0.0F;
+            // Zero products land in some folds, so -0.0 meets +0.0 too.
+            for (std::size_t e = 0; e < a.size(); e += 5) a[e] = 0.0F;
+            const std::string what =
+                std::to_string(m) + 'x' + std::to_string(n) + " seg_len=" +
+                std::to_string(seg_len) + " segs=" + std::to_string(segs) +
+                " threads=" + std::to_string(threads) +
+                " isa=" + gemm_kernel_isa();
+            for (const bool transposed : {false, true}) {
+              std::vector<float> c = c0, ref = c0;
+              if (transposed) {
+                gemm_tn_acc(m, n, seg_len, segs, a, b, c);
+              } else {
+                gemm_nt_acc(m, n, seg_len, segs, a, b, c);
+              }
+              acc_ref(transposed, m, n, seg_len, segs, a, b, ref);
+              EXPECT_TRUE(bitwise_equal(c, ref))
+                  << (transposed ? "tn_acc " : "nt_acc ") << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GemmAccumulate, DegenerateShapes) {
+  // segs == 0 adds nothing; seg_len == 0 adds the empty fold +0 (so -0.0
+  // turns +0.0, as gemm_nt with k == 0 into scratch plus an add would).
+  std::vector<float> c = {-0.0F, 1.5F, -2.0F, 3.0F};
+  gemm_nt_acc(2, 2, 4, 0, {}, {}, c);
+  EXPECT_TRUE(std::signbit(c[0]));
+  EXPECT_EQ(c[1], 1.5F);
+  gemm_nt_acc(2, 2, 0, 3, {}, {}, c);
+  EXPECT_FALSE(std::signbit(c[0]));
+  EXPECT_EQ(c[0], 0.0F);
+  EXPECT_EQ(c[2], -2.0F);
+  std::vector<float> one(1);
+  EXPECT_THROW(gemm_nt_acc(1, 1, -1, 1, one, one, one), InvalidArgument);
+  EXPECT_THROW(gemm_tn_acc(2, 2, 1, 1, one, one, c), InvalidArgument);
+}
+
 TEST(Gemm, KernelIsaIsReported) {
   const std::string isa = gemm_kernel_isa();
   EXPECT_TRUE(isa == "base" || isa == "avx2" || isa == "avx512f" ||

@@ -446,6 +446,9 @@ struct LoweringRef {
   std::vector<float> out;     // bias-only epilogue (= forward)
   std::vector<float> out_bn;  // bias + BN + ReLU epilogue
   std::vector<float> grad_in, dw, db;
+  // dW/db after a second backward of the same gradient without zero_grad:
+  // the per-sample reduction run again on top of dw/db.
+  std::vector<float> dw2, db2;
 };
 
 LoweringRef reference_lowering(const ConvGeometry& g, std::int64_t out_c,
@@ -487,15 +490,29 @@ LoweringRef reference_lowering(const ConvGeometry& g, std::int64_t out_c,
     gemm_nt_ref(out_c, crk, ohw, g_b, col, dw_b);
     for (std::size_t i = 0; i < dw_b.size(); ++i) r.dw[i] += dw_b[i];
   }
+  r.dw2 = r.dw;
+  r.db2 = r.db;
+  for (std::int64_t b = 0; b < batch; ++b) {
+    const auto g_b = gout.subspan(n(b * out_c * ohw), n(out_c * ohw));
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      float acc = g_b[n(oc * ohw)];
+      for (std::int64_t j = 1; j < ohw; ++j) acc += g_b[n(oc * ohw + j)];
+      r.db2[n(oc)] += acc;
+    }
+    im2col(g, x.subspan(n(b * image), n(image)), col, ohw);
+    gemm_nt_ref(out_c, crk, ohw, g_b, col, dw_b);
+    for (std::size_t i = 0; i < dw_b.size(); ++i) r.dw2[i] += dw_b[i];
+  }
   return r;
 }
 
 TEST(ConvLowering, MatchesPerSampleReferenceBitwise) {
   // Every output element is the same k-ascending fold of the same products
   // however the batch is lowered, so forward, both fused epilogues, the
-  // input gradient and the summed dW/db must equal the per-sample
-  // reference bitwise — at batches 1, 2, group-1, group, group+1 and
-  // 2·group+3, at 1, 2 and 8 threads. Odd out_c exercises partial MR row
+  // input gradient and the summed dW/db (fresh, and accumulated by a
+  // second backward) must equal the per-sample reference bitwise — at
+  // batches 1, 2, group-1, group, group+1 and 2·group+3, at 1, 2 and 8
+  // threads. Odd out_c exercises partial MR row
   // blocks; every case's g·ohw crosses several NR column panels.
   PoolGuard guard;
   const ConvCase cases[] = {
@@ -566,6 +583,13 @@ TEST(ConvLowering, MatchesPerSampleReferenceBitwise) {
             << "dW, " << at;
         EXPECT_TRUE(bitwise_equal(params[1]->grad.data(), ref.db))
             << "db, " << at;
+        // A second backward without zero_grad accumulates onto nonzero
+        // gradients.
+        (void)conv.backward(gout);
+        EXPECT_TRUE(bitwise_equal(params[0]->grad.data(), ref.dw2))
+            << "accumulated dW, " << at;
+        EXPECT_TRUE(bitwise_equal(params[1]->grad.data(), ref.db2))
+            << "accumulated db, " << at;
       }
     }
   }

@@ -200,5 +200,35 @@ TEST(Workspace, GroupedConv2dSteadyStateMakesNoArenaAllocations) {
   set_global_threads(0);
 }
 
+// The weight gradient folds each sample group straight into the gradient,
+// so backward of a 128-channel 3x3 conv on 1x1 inputs at batch 64 needs
+// scratch for one group's columns and packed panels, not one |W|-sized
+// product per sample (64 x 128 x 1152 floats = 37.7 MB). Once a whole
+// step has run, the next one grows no arena.
+TEST(Workspace, Conv2dWeightGradientNeedsNoPerSampleSlabs) {
+  set_global_threads(1);
+  Rng rng(13);
+  nn::Conv2d conv(128, 128, 3, 1, 1, rng);
+  const Tensor x = Tensor::normal(Shape{64, 128, 1, 1}, rng);
+  const Tensor g = Tensor::normal(conv.output_shape(x.shape()), rng);
+  (void)conv.forward(x, true);
+  ws::Workspace& arena = ws::Workspace::local();
+  arena.trim();
+  (void)conv.backward(g);
+  const std::size_t peak = arena.stats().high_water;
+  const std::size_t slabs = std::size_t{64} * 128 * 1152 * sizeof(float);
+  EXPECT_LT(peak, slabs / 16) << "backward arena peak " << peak << " bytes";
+  const auto step = [&] {
+    (void)conv.forward(x, true);
+    (void)conv.backward(g);
+  };
+  step();  // the arena settles at a whole step's high-water mark
+  const std::uint64_t allocs = ws::global_block_allocs();
+  step();
+  EXPECT_EQ(ws::global_block_allocs(), allocs)
+      << "a second Conv2d step must not grow any arena";
+  set_global_threads(0);
+}
+
 }  // namespace
 }  // namespace splitmed
