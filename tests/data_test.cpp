@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -122,6 +123,106 @@ TEST(Dataset, BatchGather) {
             0.0F);
   const auto labels = ds.batch_labels(idx);
   EXPECT_EQ(labels, (std::vector<std::int64_t>{3, 0, 5}));
+}
+
+// FNV-1a over the raw bytes of every element: a pin on the exact bits.
+std::uint64_t fnv1a_bits(const Tensor& t) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const float v : t.data()) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  return h;
+}
+
+std::vector<std::int64_t> iota_indices(std::int64_t n) {
+  std::vector<std::int64_t> idx(static_cast<std::size_t>(n));
+  std::iota(idx.begin(), idx.end(), 0);
+  return idx;
+}
+
+// The pixels every golden curve was pinned on. A change to how examples are
+// rendered or stored must leave these hashes as they are.
+TEST(Dataset, PixelPinSyntheticCifar) {
+  data::SyntheticCifarOptions opt;
+  opt.num_examples = 40;
+  opt.image_size = 16;
+  opt.noise_stddev = 0.8F;
+  opt.index_offset = 96;
+  const data::SyntheticCifar ds(opt);
+  EXPECT_EQ(fnv1a_bits(ds.batch_images(iota_indices(ds.size()))),
+            0xDF983FBD42139655ULL);
+}
+
+TEST(Dataset, PixelPinSyntheticMedical) {
+  data::SyntheticMedicalOptions opt;
+  opt.num_examples = 24;
+  opt.image_size = 24;
+  const data::SyntheticMedical ds(opt);
+  EXPECT_EQ(fnv1a_bits(ds.batch_images(iota_indices(ds.size()))),
+            0xAB68ABBF3DC00F0AULL);
+}
+
+TEST(Dataset, BatchImagesOutOfRangeThrows) {
+  const auto ds = small_cifar(8);
+  EXPECT_THROW((void)ds.batch_images(std::vector<std::int64_t>{0, 8}),
+               InvalidArgument);
+  EXPECT_THROW((void)ds.batch_images(std::vector<std::int64_t>{-1}),
+               InvalidArgument);
+  EXPECT_THROW((void)ds.batch_labels(std::vector<std::int64_t>{8}),
+               InvalidArgument);
+}
+
+TEST(Dataset, ImageIsBitwiseRowOfGather) {
+  const auto ds = small_cifar(12);
+  const Tensor all = ds.batch_images(iota_indices(ds.size()));
+  const std::int64_t elems = ds.image_shape().numel();
+  for (std::int64_t i = 0; i < ds.size(); ++i) {
+    const Tensor img = ds.image(i);
+    ASSERT_EQ(img.shape(), ds.image_shape());
+    EXPECT_EQ(std::memcmp(img.data().data(), all.data().data() + i * elems,
+                          static_cast<std::size_t>(elems) * sizeof(float)),
+              0)
+        << "row " << i;
+  }
+}
+
+TEST(Dataset, IndexOffsetMatchesRowsOfLargerSet) {
+  constexpr std::int64_t kOffset = 5;
+  data::SyntheticCifarOptions big_opt;
+  big_opt.num_examples = 16;
+  big_opt.image_size = 8;
+  data::SyntheticCifarOptions small_opt = big_opt;
+  small_opt.num_examples = big_opt.num_examples - kOffset;
+  small_opt.index_offset = kOffset;
+  const data::SyntheticCifar big(big_opt);
+  const data::SyntheticCifar shifted(small_opt);
+  std::vector<std::int64_t> tail = iota_indices(shifted.size());
+  for (auto& i : tail) i += kOffset;
+  EXPECT_EQ(fnv1a_bits(shifted.batch_images(iota_indices(shifted.size()))),
+            fnv1a_bits(big.batch_images(tail)));
+  EXPECT_EQ(shifted.batch_labels(iota_indices(shifted.size())),
+            big.batch_labels(tail));
+
+  data::SyntheticMedicalOptions big_med;
+  big_med.num_examples = 12;
+  big_med.image_size = 8;
+  data::SyntheticMedicalOptions small_med = big_med;
+  small_med.num_examples = big_med.num_examples - kOffset;
+  small_med.index_offset = kOffset;
+  const data::SyntheticMedical med(big_med);
+  const data::SyntheticMedical med_shifted(small_med);
+  std::vector<std::int64_t> med_tail = iota_indices(med_shifted.size());
+  for (auto& i : med_tail) i += kOffset;
+  EXPECT_EQ(
+      fnv1a_bits(med_shifted.batch_images(iota_indices(med_shifted.size()))),
+      fnv1a_bits(med.batch_images(med_tail)));
+  EXPECT_EQ(med_shifted.batch_labels(iota_indices(med_shifted.size())),
+            med.batch_labels(med_tail));
 }
 
 TEST(Partition, IidCoversAllIndicesDisjointly) {
