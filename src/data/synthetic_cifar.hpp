@@ -12,8 +12,6 @@
 // noise, so the task is non-trivial but solvable by small conv nets.
 #pragma once
 
-#include <vector>
-
 #include "src/data/dataset.hpp"
 
 namespace splitmed::data {
@@ -28,37 +26,15 @@ struct SyntheticCifarOptions {
   /// Shifts the per-example generator: examples are drawn at virtual indices
   /// [index_offset, index_offset + num_examples). A held-out test set uses
   /// the SAME seed (same class signatures = same task) with an offset past
-  /// the training range (fresh examples).
+  /// the training range (fresh examples). Must be >= 0, and
+  /// index_offset + num_examples must fit in int64.
   std::int64_t index_offset = 0;
 };
 
+/// Renders every example at construction; see Dataset for the memory cost.
 class SyntheticCifar final : public Dataset {
  public:
-  explicit SyntheticCifar(SyntheticCifarOptions options);
-
-  [[nodiscard]] std::int64_t size() const override {
-    return options_.num_examples;
-  }
-  [[nodiscard]] Shape image_shape() const override;
-  [[nodiscard]] std::int64_t num_classes() const override {
-    return options_.num_classes;
-  }
-  [[nodiscard]] Tensor image(std::int64_t i) const override;
-  [[nodiscard]] std::int64_t label(std::int64_t i) const override;
-
- private:
-  struct ClassSignature {
-    std::vector<float> base;      // per channel
-    std::vector<float> freq_x;    // per channel
-    std::vector<float> freq_y;
-    std::vector<float> phase;
-    float patch_x = 0.0F;         // patch centre, fraction of width/height
-    float patch_y = 0.0F;
-    float patch_intensity = 0.0F;
-  };
-
-  SyntheticCifarOptions options_;
-  std::vector<ClassSignature> signatures_;
+  explicit SyntheticCifar(const SyntheticCifarOptions& options);
 };
 
 }  // namespace splitmed::data

@@ -1,38 +1,22 @@
 #include "src/data/synthetic_medical.hpp"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
 
 namespace splitmed::data {
+namespace {
 
-SyntheticMedical::SyntheticMedical(SyntheticMedicalOptions options)
-    : options_(options) {
-  SPLITMED_CHECK(options_.num_examples >= 0, "negative example count");
-  SPLITMED_CHECK(options_.num_grades >= 2, "need at least healthy + 1 grade");
-  SPLITMED_CHECK(options_.image_size >= 8, "image too small for lesions");
-}
-
-Shape SyntheticMedical::image_shape() const {
-  return Shape{1, options_.image_size, options_.image_size};
-}
-
-std::int64_t SyntheticMedical::label(std::int64_t i) const {
-  check_index(i);
-  return (i + options_.index_offset) % options_.num_grades;
-}
-
-Tensor SyntheticMedical::image(std::int64_t i) const {
-  check_index(i);
-  const std::int64_t grade = label(i);
-  const auto virtual_index =
-      static_cast<std::uint64_t>(i + options_.index_offset);
-  Rng rng(options_.seed ^ (0xBF58476D1CE4E5B9ULL +
-                           virtual_index * 0x94D049BB133111EBULL));
-  const std::int64_t n = options_.image_size;
-  Tensor img(image_shape());
-  auto d = img.data();
+/// Renders the scan at `virtual_index` (lesion grade `grade`) into `out`, an
+/// n×n buffer. Each scan draws from its own Rng stream.
+void render_image(const SyntheticMedicalOptions& o, std::int64_t grade,
+                  std::uint64_t virtual_index, float* out) {
+  Rng rng(o.seed ^ (0xBF58476D1CE4E5B9ULL +
+                    virtual_index * 0x94D049BB133111EBULL));
+  const std::int64_t n = o.image_size;
 
   // Anatomical background: radial ring structure + smooth gradient, shared by
   // all grades so only the lesion is informative.
@@ -44,7 +28,7 @@ Tensor SyntheticMedical::image(std::int64_t i) const {
 
   // Lesion parameters scale with grade; grade 0 has no lesion.
   const float grade_frac =
-      static_cast<float>(grade) / static_cast<float>(options_.num_grades - 1);
+      static_cast<float>(grade) / static_cast<float>(o.num_grades - 1);
   const float lesion_sigma = 1.5F + 2.5F * grade_frac;
   const float lesion_gain = grade == 0 ? 0.0F : 0.5F + 0.5F * grade_frac;
   const float lx = rng.uniform(0.25F, 0.75F) * static_cast<float>(n);
@@ -64,11 +48,39 @@ Tensor SyntheticMedical::image(std::int64_t i) const {
              std::exp(-(ldx * ldx + ldy * ldy) /
                       (2.0F * lesion_sigma * lesion_sigma));
       }
-      v += options_.noise_stddev * rng.normal();
-      d[static_cast<std::size_t>(y * n + x)] = v;
+      v += o.noise_stddev * rng.normal();
+      out[y * n + x] = v;
     }
   }
-  return img;
 }
+
+Dataset render(const SyntheticMedicalOptions& o) {
+  SPLITMED_CHECK(o.num_examples >= 0, "negative example count");
+  SPLITMED_CHECK(o.num_grades >= 2, "need at least healthy + 1 grade");
+  SPLITMED_CHECK(o.image_size >= 8, "image too small for lesions");
+  SPLITMED_CHECK(o.index_offset >= 0 &&
+                     o.index_offset <= std::numeric_limits<std::int64_t>::max() -
+                                           o.num_examples,
+                 "index_offset " << o.index_offset << " with "
+                                 << o.num_examples
+                                 << " examples leaves [0, int64 max]");
+  Tensor images(Shape{o.num_examples, 1, o.image_size, o.image_size});
+  std::vector<std::int64_t> labels(static_cast<std::size_t>(o.num_examples));
+  const std::int64_t elems = o.image_size * o.image_size;
+  float* out = images.data().data();
+  for (std::int64_t i = 0; i < o.num_examples; ++i) {
+    const std::int64_t virtual_index = i + o.index_offset;
+    const std::int64_t grade = virtual_index % o.num_grades;
+    labels[static_cast<std::size_t>(i)] = grade;
+    render_image(o, grade, static_cast<std::uint64_t>(virtual_index),
+                 out + i * elems);
+  }
+  return Dataset(std::move(images), std::move(labels), o.num_grades);
+}
+
+}  // namespace
+
+SyntheticMedical::SyntheticMedical(const SyntheticMedicalOptions& options)
+    : Dataset(render(options)) {}
 
 }  // namespace splitmed::data

@@ -22,22 +22,10 @@ struct SyntheticMedicalOptions {
   std::int64_t index_offset = 0;
 };
 
+/// Renders every example at construction; see Dataset for the memory cost.
 class SyntheticMedical final : public Dataset {
  public:
-  explicit SyntheticMedical(SyntheticMedicalOptions options);
-
-  [[nodiscard]] std::int64_t size() const override {
-    return options_.num_examples;
-  }
-  [[nodiscard]] Shape image_shape() const override;
-  [[nodiscard]] std::int64_t num_classes() const override {
-    return options_.num_grades;
-  }
-  [[nodiscard]] Tensor image(std::int64_t i) const override;
-  [[nodiscard]] std::int64_t label(std::int64_t i) const override;
-
- private:
-  SyntheticMedicalOptions options_;
+  explicit SyntheticMedical(const SyntheticMedicalOptions& options);
 };
 
 }  // namespace splitmed::data

@@ -7,14 +7,21 @@
 namespace splitmed {
 
 Shape::Shape(std::initializer_list<std::int64_t> dims) : dims_(dims) {
-  for (const auto d : dims_) {
-    SPLITMED_CHECK(d >= 0, "negative dimension in shape " << str());
-  }
+  validate();
 }
 
 Shape::Shape(std::vector<std::int64_t> dims) : dims_(std::move(dims)) {
+  validate();
+}
+
+void Shape::validate() const {
+  // The product of the non-zero dims bounds every prefix and suffix product,
+  // so once it fits, numel() and strides() cannot overflow.
+  std::int64_t product = 1;
   for (const auto d : dims_) {
     SPLITMED_CHECK(d >= 0, "negative dimension in shape " << str());
+    SPLITMED_CHECK(d == 0 || !__builtin_mul_overflow(product, d, &product),
+                   "shape " << str() << " has more elements than int64 holds");
   }
 }
 

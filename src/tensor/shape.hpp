@@ -1,5 +1,6 @@
 // Tensor shapes. A Shape is an ordered list of non-negative dimensions
-// (row-major layout throughout the library). Rank 0 denotes a scalar.
+// (row-major layout throughout the library) whose element count fits in
+// int64. Rank 0 denotes a scalar.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +36,9 @@ class Shape {
   bool operator!=(const Shape& other) const { return !(*this == other); }
 
  private:
+  /// Rejects negative dims and dims whose product overflows int64.
+  void validate() const;
+
   std::vector<std::int64_t> dims_;
 };
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -80,6 +81,35 @@ TEST(SyntheticCifar, IndexOutOfRangeThrows) {
   const auto ds = small_cifar(8);
   EXPECT_THROW(ds.image(8), InvalidArgument);
   EXPECT_THROW((void)ds.label(-1), InvalidArgument);
+}
+
+TEST(SyntheticCifar, NegativeOrOverflowingIndexOffsetRejected) {
+  data::SyntheticCifarOptions opt;
+  opt.num_examples = 4;
+  opt.image_size = 8;
+  opt.index_offset = -1;
+  EXPECT_THROW(data::SyntheticCifar{opt}, InvalidArgument);
+  opt.index_offset = std::numeric_limits<std::int64_t>::max() - 3;
+  EXPECT_THROW(data::SyntheticCifar{opt}, InvalidArgument);
+  opt.index_offset = std::numeric_limits<std::int64_t>::max() - 4;
+  const data::SyntheticCifar last(opt);
+  EXPECT_EQ(last.size(), 4);
+}
+
+TEST(SyntheticMedical, NegativeOrOverflowingIndexOffsetRejected) {
+  data::SyntheticMedicalOptions opt;
+  opt.num_examples = 4;
+  opt.image_size = 8;
+  opt.index_offset = -3;
+  EXPECT_THROW(data::SyntheticMedical{opt}, InvalidArgument);
+  opt.index_offset = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW(data::SyntheticMedical{opt}, InvalidArgument);
+  opt.index_offset = std::numeric_limits<std::int64_t>::max() - 4;
+  const data::SyntheticMedical last(opt);
+  for (std::int64_t i = 0; i < last.size(); ++i) {
+    EXPECT_GE(last.label(i), 0);
+    EXPECT_LT(last.label(i), opt.num_grades);
+  }
 }
 
 TEST(SyntheticMedical, ShapesAndGrades) {
@@ -175,6 +205,17 @@ TEST(Dataset, BatchImagesOutOfRangeThrows) {
                InvalidArgument);
   EXPECT_THROW((void)ds.batch_labels(std::vector<std::int64_t>{8}),
                InvalidArgument);
+}
+
+TEST(Dataset, ConstructorValidatesImagesAndLabels) {
+  const Tensor images(Shape{2, 1, 2, 2});
+  const data::Dataset ok(images, {0, 2}, 3);
+  EXPECT_EQ(ok.size(), 2);
+  EXPECT_EQ(ok.image_shape(), Shape({1, 2, 2}));
+  EXPECT_THROW(data::Dataset(Tensor(Shape{2, 4}), {0, 1}, 2), InvalidArgument);
+  EXPECT_THROW(data::Dataset(images, {0}, 2), InvalidArgument);
+  EXPECT_THROW(data::Dataset(images, {0, 2}, 2), InvalidArgument);
+  EXPECT_THROW(data::Dataset(images, {-1, 0}, 2), InvalidArgument);
 }
 
 TEST(Dataset, ImageIsBitwiseRowOfGather) {

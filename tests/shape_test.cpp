@@ -1,6 +1,10 @@
 // Tests for tensor/shape.hpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "src/common/error.hpp"
 #include "src/tensor/shape.hpp"
 
@@ -37,6 +41,18 @@ TEST(Shape, AxisOutOfRangeThrows) {
 
 TEST(Shape, NegativeDimRejected) {
   EXPECT_THROW(Shape({2, -1}), InvalidArgument);
+}
+
+TEST(Shape, ElementCountOverflowRejected) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kHalf = std::int64_t{1} << 32;
+  EXPECT_THROW(Shape({kHalf, kHalf}), InvalidArgument);
+  EXPECT_THROW(Shape(std::vector<std::int64_t>{kMax, 2}), InvalidArgument);
+  // A zero dim does not excuse the rest: strides() multiplies the others.
+  EXPECT_THROW(Shape({0, kHalf, kHalf}), InvalidArgument);
+  EXPECT_EQ(Shape({kMax, 1}).numel(), kMax);
+  EXPECT_EQ(Shape({kHalf, kHalf / 2 - 1}).numel(),
+            kHalf * (kHalf / 2 - 1));
 }
 
 TEST(Shape, ZeroDimGivesZeroNumel) {
